@@ -10,6 +10,7 @@ package o2k_test
 // Figures at full scale sweep P = 1..64; set -short for the quick variant.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -78,6 +79,6 @@ func BenchmarkFig14ConjugateGradient(b *testing.B) { runExperiment(b, "cg") }
 func BenchmarkAllShared(b *testing.B) {
 	o := opts(b)
 	for i := 0; i < b.N; i++ {
-		experiments.RunAll(runner.New(o.Jobs), o)
+		experiments.RunAllCtx(context.Background(), runner.New(o.Jobs), o)
 	}
 }

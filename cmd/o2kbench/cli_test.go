@@ -230,6 +230,28 @@ func TestCLIGroupedHelp(t *testing.T) {
 	if strings.Contains(stderr, "Other:") {
 		t.Errorf("-help has unclaimed flags under Other:\n%s", stderr)
 	}
+	engine := strings.Index(stderr, "Engine and execution:")
+	leases := strings.Index(stderr, "  -leases")
+	obs := strings.Index(stderr, "Observability and profiling:")
+	if leases < engine || leases > obs {
+		t.Errorf("-leases is not listed under \"Engine and execution\":\n%s", stderr)
+	}
+	if strings.Contains(stderr, "Multi-process sweeps:") {
+		t.Errorf("-help still has the removed multi-process section:\n%s", stderr)
+	}
+}
+
+func TestCLILeasesFlagValidation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	if _, stderr, code := o2kbench(t, "-leases"); code != 2 || !strings.Contains(stderr, "-leases requires -cache") {
+		t.Errorf("-leases without -cache: exit %d, stderr %q; want exit 2 naming -cache", code, stderr)
+	}
+	// In-process -jobs is the only way to run cells in parallel.
+	if _, stderr, code := o2kbench(t, "-workers 2 -cache "+t.TempDir()); code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
+		t.Errorf("-workers: exit %d, stderr %q; want an unknown-flag usage error", code, stderr)
+	}
 }
 
 func TestParseProcsPresets(t *testing.T) {

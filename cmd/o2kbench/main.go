@@ -5,8 +5,7 @@
 //	o2kbench [-exp name] [-quick] [-procs 1,2,4|preset] [-format text|json] [-list] [-version]
 //	         [-engine event|goroutine] [-jobs N] [-timeout d] [-cellretries N]
 //	         [-stalldeadline d] [-runreport[=text|json]]
-//	         [-cache dir] [-cache-verify] [-cache-clear]
-//	         [-workers N] [-worker-restarts N] [-chaos-kill d] [-leases]
+//	         [-cache dir] [-cache-verify] [-cache-clear] [-leases]
 //	         [-trace f] [-trace-exp name] [-trace-ascii] [-phasereport]
 //	         [-cpuprofile f] [-memprofile f]
 //	o2kbench serve [-addr :8080] [-cache dir] [-leases] [-inflight N] [-queue N] ...
@@ -17,9 +16,9 @@
 // answers single-cell queries, and /v1/report, /v1/cache, /healthz, and
 // /metrics expose the run telemetry. See serve.go for its flag set.
 //
-// The flag surface reads as four sections (see -help): experiment
-// selection and output, engine and execution, multi-process sweeps, and
-// observability and profiling.
+// The flag surface reads as three sections (see -help): experiment
+// selection and output, engine and execution, and observability and
+// profiling.
 //
 // -engine selects the simulation engine (DESIGN.md §5.7): "event" (the
 // default) runs each gang on a single-threaded virtual-time event scheduler
@@ -51,17 +50,12 @@
 // never depend on cache state. -cache-verify scans and evicts bad entries,
 // -cache-clear empties the cache; both exit without running experiments.
 //
-// -workers N (DESIGN.md §5.10) shards the sweep across N forked worker
-// subprocesses that coordinate through per-cell lease files in the -cache
-// directory (required): each cell is computed by exactly one live worker,
-// crashed workers are respawned from a -worker-restarts budget and their
-// in-flight cells reclaimed through lease stealing, and the parent merges by
-// a final in-process pass over the warm cache — so stdout is byte-identical
-// to a single-process run even if every worker dies. -chaos-kill d is the
-// built-in chaos harness: it SIGKILLs a random live worker every d.
-// SIGINT/SIGTERM on the parent drain the fleet (SIGTERM, then SIGKILL after
-// a deadline) before the parent itself exits. -leases joins the same
-// coordination from independently-launched processes sharing one cache.
+// -leases (DESIGN.md §5.10) lets processes that share one -cache directory
+// (CLI runs and `o2kbench serve` daemons) coordinate through per-cell lease
+// files, so each persisted cell is computed once per cache directory rather
+// than once per process. A process that dies mid-cell leaves a lease that
+// the others steal once it goes stale. Leases only save compute: stdout is
+// byte-identical with or without them.
 //
 // -timeout and -stalldeadline bound different things: -timeout is a wall-
 // clock deadline on a whole cell (a cell that is legitimately slow renders
@@ -78,7 +72,7 @@
 // Experiments are resolved through the experiments registry: every
 // experiment answers to its semantic name (mesh-speedup) and its paper
 // alias (fig2); `-list` prints the full index, and `all` runs everything.
-// Simulations execute on a shared parallel cell engine (-jobs workers,
+// Simulations execute on a shared parallel cell engine (-jobs slots,
 // default GOMAXPROCS) that memoizes each unique (application, model,
 // machine, workload, P) cell, so `-exp all` costs one simulation per
 // unique cell, not one per experiment that mentions it. `-runreport`
@@ -105,9 +99,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
-	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 
 	"o2k/internal/core"
@@ -119,17 +111,11 @@ import (
 	"o2k/internal/sim"
 )
 
-// mainArgsEnv mirrors a worker's argv into its environment, so the test
-// binary (whose TestMain switches on it) exercises the orchestrator's
-// spawn path exactly like the real binary does.
+// mainArgsEnv carries a whitespace-separated argv to the test binary: its
+// TestMain runs the CLI with those arguments instead of the tests, so the
+// subprocess tests see flag parsing, exit codes, and signals exactly as a
+// shell user does.
 const mainArgsEnv = "O2K_MAIN_ARGS"
-
-// leaseAuditEnv, when set to a path prefix, makes every lease-protocol event
-// of this process append to <prefix>.<pid>.jsonl. The chaos harness merges
-// these streams into the lease-owner audit (no two overlapping holds per
-// cell); it is an env var rather than a flag because it must survive the
-// orchestrator's argv reconstruction untouched.
-const leaseAuditEnv = "O2K_LEASE_AUDIT"
 
 // listTable renders the experiment index from the registry.
 func listTable() *core.Table {
@@ -149,49 +135,6 @@ func listTable() *core.Table {
 // through experiments.ParseProcs).
 func parseProcs(s string) ([]int, error) {
 	return experiments.ParseProcs(s)
-}
-
-// parseWorkerSpec parses the -worker value "i/N" into (shard, shards).
-func parseWorkerSpec(s string) (shard, shards int, err error) {
-	i, n, ok := strings.Cut(s, "/")
-	if ok {
-		shard, err = strconv.Atoi(i)
-		if err == nil {
-			shards, err = strconv.Atoi(n)
-		}
-	}
-	if !ok || err != nil || shards < 1 || shard < 0 || shard >= shards {
-		return 0, 0, fmt.Errorf("bad -worker %q: want i/N with 0 <= i < N", s)
-	}
-	return shard, shards, nil
-}
-
-// leaseAuditHook wires the lease manager's protocol events to the JSONL
-// audit stream named by O2K_LEASE_AUDIT (nil hook when unset). Each process
-// appends to its own <prefix>.<pid>.jsonl, so SIGKILL can at worst truncate
-// the final line of one file; the chaos test merges and tolerates that.
-func leaseAuditHook() func(lease.Event) {
-	prefix := os.Getenv(leaseAuditEnv)
-	if prefix == "" {
-		return nil
-	}
-	f, err := os.OpenFile(fmt.Sprintf("%s.%d.jsonl", prefix, os.Getpid()),
-		os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "o2kbench: lease audit disabled:", err)
-		return nil
-	}
-	var mu sync.Mutex
-	return func(ev lease.Event) {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return
-		}
-		data = append(data, '\n')
-		mu.Lock()
-		f.Write(data)
-		mu.Unlock()
-	}
 }
 
 // runReportFlag implements -runreport[=text|json]. The bare form means
@@ -241,9 +184,7 @@ var flagGroups = []struct {
 		"exp", "list", "quick", "procs", "format", "version"}},
 	{"Engine and execution", []string{
 		"engine", "jobs", "timeout", "cellretries", "stalldeadline", "runreport",
-		"cache", "cache-verify", "cache-clear"}},
-	{"Multi-process sweeps", []string{
-		"workers", "worker-restarts", "chaos-kill", "worker", "leases"}},
+		"cache", "cache-verify", "cache-clear", "leases"}},
 	{"Observability and profiling", []string{
 		"trace", "trace-exp", "trace-ascii", "phasereport",
 		"cpuprofile", "memprofile"}},
@@ -319,7 +260,7 @@ func cacheMaintenance(dir string, clear, verify bool) int {
 	}
 	fmt.Fprintf(os.Stderr, "o2kbench: verified %d cache entries: %d bad (%d stale), bad entries evicted; swept %d orphaned tmp file(s)\n",
 		st.Checked, st.Bad, st.Stale, st.Tmp)
-	// Leases are sidecars, not entries: stale ones (dead workers') are swept
+	// Leases are sidecars, not entries: stale ones (dead processes') are swept
 	// on the lease subsystem's own judgement, and live ones never affect the
 	// exit status — only bad entries do.
 	if st.Leases > 0 {
@@ -438,11 +379,7 @@ func run() int {
 	cacheDir := flag.String("cache", "", "persistent cell-cache directory (created if missing); cache failures degrade to recompute")
 	cacheVerify := flag.Bool("cache-verify", false, "with -cache: validate every entry, evict bad ones, sweep orphaned temp and\nstale lease files, and exit (1 if any entries were bad)")
 	cacheClear := flag.Bool("cache-clear", false, "with -cache: remove every entry and exit")
-	workers := flag.Int("workers", 0, "run the sweep as this many worker subprocesses sharing -cache (requires -cache);\nthe parent merges by a final in-process pass over the warm cache")
-	workerRestarts := flag.Int("worker-restarts", 32, "with -workers: total respawn budget for workers that die to a signal")
-	chaosKill := flag.Duration("chaos-kill", 0, "with -workers: SIGKILL a random live worker this often (chaos harness; 0 = off)")
-	workerSpec := flag.String("worker", "", "run as worker i/N of a fleet (set by -workers; requires -cache): enables\nleases with shard bias i of N")
-	leasesOn := flag.Bool("leases", false, "with -cache: coordinate with other processes on the same cache directory\nthrough per-cell lease files, even without -workers")
+	leasesOn := flag.Bool("leases", false, "with -cache: coordinate with other processes on the same cache directory\nthrough per-cell lease files")
 	list := flag.Bool("list", false, "list every experiment name, its aliases, and its description")
 	version := flag.Bool("version", false, "print the build identity and cache version fence, then exit")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto / chrome://tracing)")
@@ -519,23 +456,8 @@ func run() int {
 	o.Jobs = *jobs
 	sim.SetStallDeadline(*stallDeadline)
 
-	shard, shards := 0, 1
-	if *workerSpec != "" {
-		var err error
-		if shard, shards, err = parseWorkerSpec(*workerSpec); err != nil {
-			fmt.Fprintln(os.Stderr, "o2kbench:", err)
-			return 2
-		}
-	}
-	switch {
-	case *workers < 0 || *workerRestarts < 0 || *chaosKill < 0:
-		fmt.Fprintln(os.Stderr, "o2kbench: -workers, -worker-restarts, and -chaos-kill must be >= 0")
-		return 2
-	case *workers > 1 && *workerSpec != "":
-		fmt.Fprintln(os.Stderr, "o2kbench: -workers (orchestrate) and -worker (be a worker) are mutually exclusive")
-		return 2
-	case (*workers > 1 || *workerSpec != "" || *leasesOn) && *cacheDir == "":
-		fmt.Fprintln(os.Stderr, "o2kbench: -workers/-worker/-leases require -cache DIR (the cache directory is the coordination substrate)")
+	if *leasesOn && *cacheDir == "" {
+		fmt.Fprintln(os.Stderr, "o2kbench: -leases requires -cache DIR (the cache directory is the coordination substrate)")
 		return 2
 	}
 
@@ -564,37 +486,6 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *workers > 1 {
-		// Orchestrator mode (DESIGN.md §5.10): fork the fleet, let it populate
-		// the shared cache under lease coordination, then fall through to the
-		// normal in-process run below — against the now-warm cache, that run
-		// IS the merge, and it recomputes whatever a crashed fleet left
-		// missing. Orchestration failures are therefore only warnings.
-		wargs := func(i int) []string {
-			a := []string{
-				"-worker", fmt.Sprintf("%d/%d", i, *workers),
-				"-exp", *exp, "-engine", *engine, "-cache", *cacheDir,
-				"-jobs", strconv.Itoa(*jobs), "-cellretries", strconv.Itoa(*retries),
-				"-timeout", timeout.String(), "-stalldeadline", stallDeadline.String(),
-			}
-			if *quick {
-				a = append(a, "-quick")
-			}
-			if *procs != "" {
-				a = append(a, "-procs", *procs)
-			}
-			return a
-		}
-		if err := orchestrate(ctx, orchCfg{
-			workers:   *workers,
-			restarts:  *workerRestarts,
-			chaosKill: *chaosKill,
-			args:      wargs,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "o2kbench:", err, "— degrading to a single-process run")
-		}
-	}
-
 	eng := runner.NewWithPolicy(ctx, o.Jobs, runner.Policy{
 		CellTimeout: *timeout,
 		Retries:     *retries,
@@ -606,12 +497,8 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "o2kbench: cache disabled:", err)
 		} else {
 			eng.SetCache(dc)
-			if *workerSpec != "" || *leasesOn {
-				eng.SetLeases(lease.New(lease.Config{
-					Dir:   *cacheDir,
-					Shard: shard, Shards: shards,
-					Hook: leaseAuditHook(),
-				}))
+			if *leasesOn {
+				eng.SetLeases(lease.New(lease.Config{Dir: *cacheDir}))
 			}
 		}
 	}
@@ -622,7 +509,8 @@ func run() int {
 		collector = &obs.Collector{}
 		eng.SetHook(collector.Hook())
 	}
-	tables, err := experiments.RunOn(eng, *exp, o)
+	// The engine already carries the signal context; the request needs none.
+	tables, err := experiments.RunOnCtx(context.Background(), eng, *exp, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "o2kbench:", err)
 		return 2

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -90,7 +91,7 @@ func TestCacheMaintenance(t *testing.T) {
 	o.Procs = []int{1, 2}
 	eng := runner.New(1)
 	eng.SetCache(dc)
-	if _, err := experiments.RunOn(eng, "mesh-speedup", o); err != nil {
+	if _, err := experiments.RunOnCtx(context.Background(), eng, "mesh-speedup", o); err != nil {
 		t.Fatal(err)
 	}
 	n, err := dc.Len()

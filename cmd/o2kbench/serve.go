@@ -3,8 +3,8 @@ package main
 // The serve subcommand: `o2kbench serve -addr :8080` runs the experiment
 // engine as a long-running HTTP daemon (internal/server, DESIGN.md §5.11)
 // instead of a one-shot table regeneration. It reuses the CLI's engine,
-// cache, and lease setup verbatim, so a daemon and a `-workers` fleet
-// sharing one -cache directory coordinate through the same lease files.
+// cache, and lease setup verbatim, so daemons and CLI runs started with
+// -leases on one -cache directory coordinate through the same lease files.
 
 import (
 	"context"
@@ -24,11 +24,22 @@ import (
 	"o2k/internal/sim"
 )
 
+// Connection timeouts of the daemon's http.Server. A client gets
+// readHeaderTimeout to finish its request headers and idleTimeout between
+// keep-alive requests; past either, the connection is closed, so a client
+// that stalls mid-header cannot hold a connection open forever. Neither
+// bounds a request's body or its streamed response: a full-scale experiment
+// streams for minutes.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func runServe(args []string) int {
 	fs := flag.NewFlagSet("o2kbench serve", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	addr := fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-	cacheDir := fs.String("cache", "", "persistent cell-cache directory shared with CLI runs and worker fleets")
+	cacheDir := fs.String("cache", "", "persistent cell-cache directory, shareable with CLI runs and other daemons")
 	leasesOn := fs.Bool("leases", false, "with -cache: coordinate with other processes on the same cache directory\nthrough per-cell lease files")
 	engine := fs.String("engine", "event", "simulation engine: event or goroutine")
 	jobs := fs.Int("jobs", 0, "concurrent simulation cells (0 = GOMAXPROCS)")
@@ -78,11 +89,7 @@ func runServe(args []string) int {
 		} else {
 			eng.SetCache(dc)
 			if *leasesOn {
-				eng.SetLeases(lease.New(lease.Config{
-					Dir:   *cacheDir,
-					Shard: 0, Shards: 1,
-					Hook: leaseAuditHook(),
-				}))
+				eng.SetLeases(lease.New(lease.Config{Dir: *cacheDir}))
 			}
 		}
 	}
@@ -102,7 +109,11 @@ func runServe(args []string) int {
 	// can discover a :0-assigned port.
 	fmt.Fprintf(os.Stderr, "o2kbench: serving on http://%s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

@@ -10,11 +10,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -52,17 +54,37 @@ func fingerprintLine(t *testing.T, out string) string {
 	return ""
 }
 
-func TestCLIServeDrainOnSIGTERM(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test")
-	}
+// syncBuffer is a bytes.Buffer safe for one writer goroutine and readers.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) WriteString(s string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.buf.WriteString(s)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// startServe launches the CLI with args (a serve invocation listening on
+// 127.0.0.1:0) as a child process and returns it with the base URL it
+// announces on stderr. The child's stderr keeps draining into the returned
+// buffer, so it never blocks on a full pipe; the child is killed at test
+// cleanup if it is still running.
+func startServe(t *testing.T, args string) (*exec.Cmd, string, *syncBuffer) {
+	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
 	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), mainArgsEnv+"=serve -addr 127.0.0.1:0 -cache "+dir)
+	cmd.Env = append(os.Environ(), mainArgsEnv+"="+args)
 	stderrPipe, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -70,29 +92,36 @@ func TestCLIServeDrainOnSIGTERM(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill()
+	t.Cleanup(func() { cmd.Process.Kill() })
 
-	// The daemon announces its concrete (port-0-assigned) address on stderr.
 	sc := bufio.NewScanner(stderrPipe)
 	var base string
-	var stderrTail bytes.Buffer
+	stderr := &syncBuffer{}
 	for sc.Scan() {
 		line := sc.Text()
-		stderrTail.WriteString(line + "\n")
+		stderr.WriteString(line + "\n")
 		if rest, ok := strings.CutPrefix(line, "o2kbench: serving on "); ok {
 			base = rest
 			break
 		}
 	}
 	if base == "" {
-		t.Fatalf("daemon never announced its address; stderr so far:\n%s", stderrTail.String())
+		t.Fatalf("daemon never announced its address; stderr so far:\n%s", stderr.String())
 	}
-	// Keep draining stderr so the child never blocks on a full pipe.
 	go func() {
 		for sc.Scan() {
-			stderrTail.WriteString(sc.Text() + "\n")
+			stderr.WriteString(sc.Text() + "\n")
 		}
 	}()
+	return cmd, base, stderr
+}
+
+func TestCLIServeDrainOnSIGTERM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	dir := t.TempDir()
+	cmd, base, stderrTail := startServe(t, "serve -addr 127.0.0.1:0 -cache "+dir)
 
 	// Submit a quick experiment, then SIGTERM the daemon while the request
 	// is in flight: drain must let it stream to completion and commit its
@@ -174,6 +203,34 @@ func TestCLIServeDrainOnSIGTERM(t *testing.T) {
 	}
 	if !strings.Contains(stderrTail.String(), "o2kbench: draining") {
 		t.Errorf("stderr never announced the drain:\n%s", stderrTail.String())
+	}
+}
+
+// TestCLIServeClosesSlowHeaderConnections sends a request whose headers
+// never finish: the daemon must close the connection once its header
+// timeout passes instead of holding it open forever.
+func TestCLIServeClosesSlowHeaderConnections(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test; waits out the daemon's header timeout")
+	}
+	_, base, stderr := startServe(t, "serve -addr 127.0.0.1:0")
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// No blank line: the header block stays open.
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: o2k\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection still open %v after a partial header (header timeout %v): %v\nstderr:\n%s",
+			time.Since(start).Round(time.Millisecond), readHeaderTimeout, err, stderr.String())
+	}
+	if d := time.Since(start); d < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout could have fired", d, readHeaderTimeout)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -29,7 +30,7 @@ func runAllCached(t *testing.T, jobs int, dc *diskcache.Cache) (string, *runner.
 	if dc != nil {
 		e.SetCache(dc)
 	}
-	out := renderAll(RunAll(e, o))
+	out := renderAll(RunAllCtx(context.Background(), e, o))
 	return out, e.Report()
 }
 
@@ -174,7 +175,7 @@ func TestFig12MachinePresetsShareOnePlanCell(t *testing.T) {
 
 	e := runner.New(2)
 	e.SetCache(openCache(t, dir))
-	if _, err := RunOn(e, "machine-sweep", o); err != nil {
+	if _, err := RunOnCtx(context.Background(), e, "machine-sweep", o); err != nil {
 		t.Fatal(err)
 	}
 	rep := e.Report()
@@ -205,7 +206,7 @@ func TestFig12MachinePresetsShareOnePlanCell(t *testing.T) {
 	// A second sweep over the same presets serves both plan cells from disk.
 	e2 := runner.New(2)
 	e2.SetCache(openCache(t, dir))
-	if _, err := RunOn(e2, "machine-sweep", o); err != nil {
+	if _, err := RunOnCtx(context.Background(), e2, "machine-sweep", o); err != nil {
 		t.Fatal(err)
 	}
 	if rep2 := e2.Report(); rep2.PlanDiskHits != 2 {
@@ -231,7 +232,7 @@ func runSweepChild(dir string) {
 	}
 	e := runner.New(1)
 	e.SetCache(dc)
-	RunAll(e, QuickOpts())
+	RunAllCtx(context.Background(), e, QuickOpts())
 	os.Exit(0)
 }
 

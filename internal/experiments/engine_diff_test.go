@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -97,7 +98,7 @@ func TestEnginesAgreeOnQuickSuiteBytes(t *testing.T) {
 	outputs := map[string]string{}
 	for _, en := range sim.EngineNames() {
 		underEngine(t, en, func() {
-			outputs[en] = renderAll(RunAll(runner.New(4), o))
+			outputs[en] = renderAll(RunAllCtx(context.Background(), runner.New(4), o))
 		})
 	}
 	names := sim.EngineNames()
@@ -119,7 +120,7 @@ func TestEnginesAgreeOnPoisonedCell(t *testing.T) {
 		underEngine(t, en, func() {
 			e := runner.New(2)
 			poisonMeshMP(e, o, maxP, errors.New("injected fault"))
-			tabs, err := RunOn(e, "mesh-speedup", o)
+			tabs, err := RunOnCtx(context.Background(), e, "mesh-speedup", o)
 			if err != nil {
 				t.Fatal(err)
 			}

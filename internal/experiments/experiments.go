@@ -7,7 +7,7 @@
 // invocation that produces many artifacts — `o2kbench -exp all`, the
 // verdict checker — simulates each unique (application, model, machine,
 // workload, P) cell exactly once, in parallel on a bounded worker pool.
-// Register/Run/RunOn/List are the only entry points; the pre-registry
+// Register/Run/RunOnCtx/List are the only entry points; the pre-registry
 // per-artifact wrappers (Fig2, Table6, …) are gone.
 //
 // Cells carry errors (DESIGN.md §5.3): a cell that panicked, timed out, or

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func runOne(t *testing.T, name string, o Opts) *core.Table {
 }
 
 func TestAllExperimentsQuick(t *testing.T) {
-	tables := RunAll(runner.New(0), QuickOpts())
+	tables := RunAllCtx(context.Background(), runner.New(0), QuickOpts())
 	if len(tables) != 14 {
 		t.Fatalf("expected 14 experiment tables, got %d", len(tables))
 	}

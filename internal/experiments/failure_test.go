@@ -16,7 +16,7 @@ import (
 // the engine then serves the cached failure to the experiment builder.
 func poisonMeshMP(e *runner.Engine, o Opts, procs int, err error) {
 	key := core.CellKey("mesh/run", core.MP, machine.Default(procs), o.MeshW)
-	e.Do(key, "poisoned mesh MP", func(context.Context) (any, error) { return nil, err })
+	e.Do(context.Background(), key, "poisoned mesh MP", nil, func(context.Context) (any, error) { return nil, err })
 }
 
 func TestFailedCellRendersAsFailedEntry(t *testing.T) {
@@ -25,7 +25,7 @@ func TestFailedCellRendersAsFailedEntry(t *testing.T) {
 	e := runner.New(2)
 	poisonMeshMP(e, o, maxP, errors.New("injected fault"))
 
-	tabs, err := RunOn(e, "mesh-speedup", o)
+	tabs, err := RunOnCtx(context.Background(), e, "mesh-speedup", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFailedRunIsByteStableAcrossJobs(t *testing.T) {
 	render := func(jobs int) string {
 		e := runner.New(jobs)
 		poisonMeshMP(e, o, maxP, errors.New("injected fault"))
-		tabs, err := RunOn(e, "all", o)
+		tabs, err := RunOnCtx(context.Background(), e, "all", o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
@@ -25,7 +26,7 @@ func TestGoldenQuickOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick suite; skipped with -short")
 	}
-	out := renderAll(RunAll(runner.New(0), QuickOpts()))
+	out := renderAll(RunAllCtx(context.Background(), runner.New(0), QuickOpts()))
 	sum := sha256.Sum256([]byte(out))
 	got := hex.EncodeToString(sum[:])
 	if got != goldenQuickSHA256 {

@@ -96,9 +96,9 @@ func Lookup(name string) (Spec, bool) {
 // Run executes the named experiment (or "all") on a fresh engine sized from
 // o.Jobs and returns its tables. Callers that run several experiments and
 // want them to share the cell cache should create one runner.Engine and use
-// RunOn.
+// RunOnCtx.
 func Run(name string, o Opts) ([]*core.Table, error) {
-	return RunOn(runner.New(o.Jobs), name, o)
+	return RunOnCtx(context.Background(), runner.New(o.Jobs), name, o)
 }
 
 // Render joins a table list into the exact bytes o2kbench prints on stdout:
@@ -116,15 +116,10 @@ func Render(tables []*core.Table) string {
 	return b.String()
 }
 
-// RunOn is Run on a caller-supplied engine. The name "all" produces every
-// non-standalone experiment in index order, built concurrently over the
-// shared cell cache.
-func RunOn(e *runner.Engine, name string, o Opts) ([]*core.Table, error) {
-	return RunOnCtx(context.Background(), e, name, o)
-}
-
-// RunOnCtx is RunOn scoped to one request context: builders receive ctx and
-// thread it into every cell request, so cancelling ctx abandons this
+// RunOnCtx is Run on a caller-supplied engine, scoped to one request
+// context. The name "all" produces every non-standalone experiment in index
+// order, built concurrently over the shared cell cache. Builders receive ctx
+// and thread it into every cell request, so cancelling ctx abandons this
 // invocation without disturbing other users of the shared engine.
 func RunOnCtx(ctx context.Context, e *runner.Engine, name string, o Opts) ([]*core.Table, error) {
 	if strings.ToLower(name) == "all" {
@@ -154,15 +149,11 @@ func buildSafe(ctx context.Context, s Spec, e *runner.Engine, o Opts) (t *core.T
 	return s.Build(ctx, e, o)
 }
 
-// RunAll builds every non-standalone experiment on the shared engine.
-// Builders run concurrently — the engine's single-flight cache ensures each
-// unique cell is still simulated exactly once — but results are returned in
-// registration order, so the output is byte-identical at any parallelism.
-func RunAll(e *runner.Engine, o Opts) []*core.Table {
-	return RunAllCtx(context.Background(), e, o)
-}
-
-// RunAllCtx is RunAll scoped to one request context.
+// RunAllCtx builds every non-standalone experiment on the shared engine,
+// scoped to one request context. Builders run concurrently — the engine's
+// single-flight cache ensures each unique cell is still simulated exactly
+// once — but results are returned in registration order, so the output is
+// byte-identical at any parallelism.
 func RunAllCtx(ctx context.Context, e *runner.Engine, o Opts) []*core.Table {
 	specs := List()
 	out := make([]*core.Table, len(specs))

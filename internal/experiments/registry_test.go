@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -68,8 +69,8 @@ func TestParallelSerialEquivalence(t *testing.T) {
 		t.Skip("runs the full quick suite twice")
 	}
 	o := QuickOpts()
-	serial := renderAll(RunAll(runner.New(1), o))
-	parallel := renderAll(RunAll(runner.New(8), o))
+	serial := renderAll(RunAllCtx(context.Background(), runner.New(1), o))
+	parallel := renderAll(RunAllCtx(context.Background(), runner.New(8), o))
 	if serial != parallel {
 		t.Fatal("-jobs=1 and -jobs=8 table output differ")
 	}
@@ -86,7 +87,7 @@ func TestSharedEngineCacheRate(t *testing.T) {
 		t.Skip("runs the full quick suite")
 	}
 	e := runner.New(4)
-	RunAll(e, QuickOpts())
+	RunAllCtx(context.Background(), e, QuickOpts())
 	r := e.Report()
 	if rate := r.HitRate(); rate < 0.30 {
 		t.Fatalf("shared-cache hit rate %.1f%% < 30%% (unique=%d requests=%d)",
@@ -100,12 +101,12 @@ func TestSecondRunAllCacheHits(t *testing.T) {
 	o := QuickOpts()
 	o.Procs = []int{1, 4}
 	e := runner.New(2)
-	first, err := RunOn(e, "loadbalance", o)
+	first, err := RunOnCtx(context.Background(), e, "loadbalance", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	misses := e.Report().Unique
-	second, err := RunOn(e, "loadbalance", o)
+	second, err := RunOnCtx(context.Background(), e, "loadbalance", o)
 	if err != nil {
 		t.Fatal(err)
 	}

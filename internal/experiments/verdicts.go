@@ -15,7 +15,7 @@ import (
 // shape" lines of EXPERIMENTS.md) as executable checks and reports
 // PASS/FAIL for each — the reproduction statement in one table. Every
 // underlying simulation goes through the cell engine, so on a shared
-// engine (o2kbench after -exp all, or RunAll) most of its evidence is
+// engine (o2kbench after -exp all, or RunAllCtx) most of its evidence is
 // already cached.
 //
 // V0 is the evidence gate: if any cell the checks depend on failed
@@ -172,7 +172,7 @@ func buildVerdicts(ctx context.Context, e *runner.Engine, o Opts) *core.Table {
 
 // Verdicts runs every check on a private engine.
 //
-// Deprecated: use Run("verdicts", o), or RunOn with the engine that already
+// Deprecated: use Run("verdicts", o), or RunOnCtx with the engine that already
 // ran the experiments the checks re-examine.
 func Verdicts(o Opts) *core.Table { return buildVerdicts(context.Background(), runner.New(o.Jobs), o) }
 

@@ -403,42 +403,6 @@ func UnpackFields[T any](p *sim.Proc, src *Array[T], srcOff int, dsts []*Array[T
 	p.Advance(lat)
 }
 
-// Load3 reads element i of three arrays of one Space in order, with a single
-// Advance — the body-record read (x, y, mass) of the N-body force loop.
-func Load3[T any](p *sim.Proc, a1, a2, a3 *Array[T], i int) (T, T, T) {
-	if refModel {
-		a1.chargeRef(p, a1.lineOf(i), false)
-		a2.chargeRef(p, a2.lineOf(i), false)
-		a3.chargeRef(p, a3.lineOf(i), false)
-		return a1.data[i], a2.data[i], a3.data[i]
-	}
-	c := a1.caches[p.ID()]
-	var lat sim.Time
-	a1.chargeAcc(p, c, a1.lineOf(i), false, &lat)
-	a2.chargeAcc(p, c, a2.lineOf(i), false, &lat)
-	a3.chargeAcc(p, c, a3.lineOf(i), false, &lat)
-	p.Advance(lat)
-	return a1.data[i], a2.data[i], a3.data[i]
-}
-
-// Load3At reads elements i, i+1, i+2 in order with a single Advance — the
-// packed cell-record read (cx, cy, mass) of the N-body force loop.
-func (a *Array[T]) Load3At(p *sim.Proc, i int) (T, T, T) {
-	if refModel {
-		a.chargeRef(p, a.lineOf(i), false)
-		a.chargeRef(p, a.lineOf(i+1), false)
-		a.chargeRef(p, a.lineOf(i+2), false)
-		return a.data[i], a.data[i+1], a.data[i+2]
-	}
-	c := a.caches[p.ID()]
-	var lat sim.Time
-	a.chargeAcc(p, c, a.lineOf(i), false, &lat)
-	a.chargeAcc(p, c, a.lineOf(i+1), false, &lat)
-	a.chargeAcc(p, c, a.lineOf(i+2), false, &lat)
-	p.Advance(lat)
-	return a.data[i], a.data[i+1], a.data[i+2]
-}
-
 // Store3At writes elements i, i+1, i+2 in order with a single Advance.
 func (a *Array[T]) Store3At(p *sim.Proc, i int, v0, v1, v2 T) {
 	if refModel {
@@ -457,35 +421,29 @@ func (a *Array[T]) Store3At(p *sim.Proc, i int, v0, v1, v2 T) {
 	a.data[i], a.data[i+1], a.data[i+2] = v0, v1, v2
 }
 
-// LoadRange copies elements [lo, hi) into out, charging every element like
-// Load with one Advance. Consecutive elements of one line after the first are
-// repeat accesses of the MRU way (the line was just probed), so the span path
-// probes each line once and adds the remaining accesses arithmetically — the
-// TouchRange machinery applied to per-element semantics.
-func (a *Array[T]) LoadRange(p *sim.Proc, lo, hi int, out []T) {
-	a.rangeCharge(p, lo, hi, false)
-	copy(out, a.data[lo:hi])
-}
-
 // StoreRange copies vals into elements [lo, lo+len(vals)), charging every
-// element like Store with one Advance (span probes as in LoadRange).
+// element like Store with one Advance. Consecutive elements of one line after
+// the first are repeat accesses of the MRU way (the line was just probed), so
+// the span path probes each line once and adds the remaining accesses
+// arithmetically — the TouchRange machinery applied to per-element semantics.
 func (a *Array[T]) StoreRange(p *sim.Proc, lo int, vals []T) {
-	a.rangeCharge(p, lo, lo+len(vals), true)
+	a.storeCharge(p, lo, lo+len(vals))
 	copy(a.data[lo:lo+len(vals)], vals)
 }
 
-// rangeCharge charges one access per element of [lo, hi) — unlike TouchRange's
-// one per line — by probing each line once and accounting the remaining
-// accesses of that line as MRU repeats (a probe leaves its line in the MRU
-// way, so every subsequent access of the same line is a hit with no LRU
-// movement; charging them arithmetically is exact, not an approximation).
-func (a *Array[T]) rangeCharge(p *sim.Proc, lo, hi int, write bool) {
+// storeCharge charges one write access per element of [lo, hi) — unlike
+// TouchRange's one per line — by probing each line once and accounting the
+// remaining accesses of that line as MRU repeats (a probe leaves its line in
+// the MRU way, so every subsequent access of the same line is a hit with no
+// LRU movement; charging them arithmetically is exact, not an
+// approximation).
+func (a *Array[T]) storeCharge(p *sim.Proc, lo, hi int) {
 	if lo >= hi {
 		return
 	}
 	if refModel {
 		for i := lo; i < hi; i++ {
-			a.chargeRef(p, a.lineOf(i), write)
+			a.chargeRef(p, a.lineOf(i), true)
 		}
 		return
 	}
@@ -498,7 +456,7 @@ func (a *Array[T]) rangeCharge(p *sim.Proc, lo, hi int, write bool) {
 		// unbatched loop never does. Charge element-at-a-time instead.
 		var lat sim.Time
 		for i := lo; i < hi; i++ {
-			a.chargeAcc(p, c, a.lineOf(i), write, &lat)
+			a.chargeAcc(p, c, a.lineOf(i), true, &lat)
 		}
 		p.Advance(lat)
 		return
@@ -540,7 +498,7 @@ func (a *Array[T]) rangeCharge(p *sim.Proc, lo, hi int, write bool) {
 	p.LocalMisses += local
 	p.RemoteMisses += remote
 	p.Advance(lat)
-	if write && a.shared {
+	if a.shared {
 		a.recordWriteRange(me, l0, l1)
 	}
 	a.last[me] = lastRef{a.baseLine + uint64(l1) + 1, c.gen}

@@ -8,6 +8,7 @@ package obs_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"o2k/internal/experiments"
@@ -24,7 +25,7 @@ func buildRealTrace(t *testing.T, target, exp string) (*obs.ChromeTrace, []exper
 	col := &obs.Collector{}
 	eng := runner.New(2)
 	eng.SetHook(col.Hook())
-	if _, err := experiments.RunOn(eng, exp, o); err != nil {
+	if _, err := experiments.RunOnCtx(context.Background(), eng, exp, o); err != nil {
 		t.Fatal(err)
 	}
 	if col.Len() == 0 {

@@ -38,7 +38,7 @@ func TestRequestCancelAbortsAndRetiresCell(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := e.DoCtx(ctx, "k", "cell", blocking)
+		_, err := e.Do(ctx, "k", "cell", nil, blocking)
 		errc <- err
 	}()
 	waitFor(t, "compute to start", func() bool { return count.Load() == 1 })
@@ -52,7 +52,7 @@ func TestRequestCancelAbortsAndRetiresCell(t *testing.T) {
 	waitFor(t, "cell retirement", func() bool { return e.Report().Unique == 0 })
 
 	// A fresh request recomputes as if the key had never been asked for.
-	v, err := e.DoCtx(context.Background(), "k", "cell", func(ctx context.Context) (any, error) {
+	v, err := e.Do(context.Background(), "k", "cell", nil, func(ctx context.Context) (any, error) {
 		count.Add(1)
 		return 42, nil
 	})
@@ -84,7 +84,7 @@ func TestSecondWaiterKeepsCellAliveWhenFirstLeaves(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(context.Background())
 	errA := make(chan error, 1)
 	go func() {
-		_, err := e.DoCtx(ctxA, "k", "cell", compute)
+		_, err := e.Do(ctxA, "k", "cell", nil, compute)
 		errA <- err
 	}()
 	waitFor(t, "owner to start", func() bool { return count.Load() == 1 })
@@ -95,7 +95,7 @@ func TestSecondWaiterKeepsCellAliveWhenFirstLeaves(t *testing.T) {
 	}
 	resB := make(chan out, 1)
 	go func() {
-		v, err := e.DoCtx(context.Background(), "k", "cell", compute)
+		v, err := e.Do(context.Background(), "k", "cell", nil, compute)
 		resB <- out{v, err}
 	}()
 	// B is registered once the in-flight cell shows a dedup request.
@@ -118,7 +118,7 @@ func TestSecondWaiterKeepsCellAliveWhenFirstLeaves(t *testing.T) {
 		t.Fatalf("compute ran %d times, want exactly 1", got)
 	}
 	// The cell completed normally: memoized, not retired.
-	if _, err := e.Do("k", "cell", compute); err != nil {
+	if _, err := e.Do(context.Background(), "k", "cell", nil, compute); err != nil {
 		t.Fatalf("memo hit after survival: %v", err)
 	}
 	if got := count.Load(); got != 1 {
@@ -132,7 +132,7 @@ func TestEngineCancelOutcomesAreNotRetired(t *testing.T) {
 	started := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		_, err := e.DoCtx(context.Background(), "k", "cell", func(cctx context.Context) (any, error) {
+		_, err := e.Do(context.Background(), "k", "cell", nil, func(cctx context.Context) (any, error) {
 			close(started)
 			<-cctx.Done()
 			return nil, context.Cause(cctx)
@@ -164,11 +164,11 @@ func TestRequestHookSeesOnlyItsOwnEvents(t *testing.T) {
 	hookB, _ := collect(&evB)
 
 	ctxA := WithRequestHook(context.Background(), hookA)
-	if _, err := e.DoCtx(ctxA, "k", "cell", func(ctx context.Context) (any, error) { return 1, nil }); err != nil {
+	if _, err := e.Do(ctxA, "k", "cell", nil, func(ctx context.Context) (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	ctxB := WithRequestHook(context.Background(), hookB)
-	if _, err := e.DoCtx(ctxB, "k", "cell", nil); err != nil {
+	if _, err := e.Do(ctxB, "k", "cell", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 

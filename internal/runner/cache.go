@@ -20,8 +20,8 @@ import (
 // the cache can make a run slower, never different.
 
 // Codec serializes one cell type's successful value for the persistent
-// cache. Only cells whose helpers pass a codec to DoCached persist. Two
-// codec families exist: MetricsCodec for run cells, and the plan codecs in
+// cache. Only cells whose helpers pass a codec to Do persist. Two codec
+// families exist: MetricsCodec for run cells, and the plan codecs in
 // cells.go that persist the structural tier (adaptation histories, reference
 // simulations, partitioning decisions) behind the plan cells.
 type Codec struct {
@@ -80,7 +80,7 @@ func persistable(err error) bool {
 
 // SetCache attaches a persistent cache to the engine. It must be called
 // before the first Do; a nil cache (the default) keeps the engine
-// memory-only. Cells opt in per call site by passing a Codec to DoCached.
+// memory-only. Cells opt in per call site by passing a Codec to Do.
 func (e *Engine) SetCache(c *diskcache.Cache) { e.cache = c }
 
 // Cache returns the attached persistent cache, or nil.

@@ -41,7 +41,7 @@ func TestDiskCachePersistsAcrossEngines(t *testing.T) {
 	compute := func(context.Context) (any, error) { computes++; return 41, nil }
 
 	e1 := cachedEngine(t, dir)
-	if v, err := e1.DoCached(key, "cell", testCodec, compute); err != nil || v.(int) != 41 {
+	if v, err := e1.Do(context.Background(), key, "cell", testCodec, compute); err != nil || v.(int) != 41 {
 		t.Fatalf("cold run: %v, %v", v, err)
 	}
 	if computes != 1 {
@@ -50,7 +50,7 @@ func TestDiskCachePersistsAcrossEngines(t *testing.T) {
 
 	// A second engine over the same directory restores from disk.
 	e2 := cachedEngine(t, dir)
-	v, err := e2.DoCached(key, "cell", testCodec, compute)
+	v, err := e2.Do(context.Background(), key, "cell", testCodec, compute)
 	if err != nil || v.(int) != 41 {
 		t.Fatalf("warm run: %v, %v", v, err)
 	}
@@ -73,9 +73,9 @@ func TestDiskCacheUncodedCellsStayMemoryOnly(t *testing.T) {
 	compute := func(context.Context) (any, error) { computes++; return 1, nil }
 
 	e1 := cachedEngine(t, dir)
-	e1.Do(key, "cell", compute) // nil codec: plan-style cell
+	e1.Do(context.Background(), key, "cell", nil, compute) // nil codec: plan-style cell
 	e2 := cachedEngine(t, dir)
-	e2.Do(key, "cell", compute)
+	e2.Do(context.Background(), key, "cell", nil, compute)
 	if computes != 2 {
 		t.Fatalf("computes = %d, want 2 (nil-codec cells must not persist)", computes)
 	}
@@ -92,9 +92,9 @@ func TestDiskCachePersistsDeterministicErrors(t *testing.T) {
 	compute := func(context.Context) (any, error) { computes++; return nil, boom }
 
 	e1 := cachedEngine(t, dir)
-	_, err1 := e1.DoCached(key, "cell", testCodec, compute)
+	_, err1 := e1.Do(context.Background(), key, "cell", testCodec, compute)
 	e2 := cachedEngine(t, dir)
-	_, err2 := e2.DoCached(key, "cell", testCodec, compute)
+	_, err2 := e2.Do(context.Background(), key, "cell", testCodec, compute)
 	if computes != 1 {
 		t.Fatalf("computes = %d, want 1 (deterministic error must persist)", computes)
 	}
@@ -117,9 +117,9 @@ func TestDiskCachePersistsPanics(t *testing.T) {
 	compute := func(context.Context) (any, error) { computes++; panic("blew a gasket") }
 
 	e1 := cachedEngine(t, dir)
-	_, err1 := e1.DoCached(key, "cell", testCodec, compute)
+	_, err1 := e1.Do(context.Background(), key, "cell", testCodec, compute)
 	e2 := cachedEngine(t, dir)
-	_, err2 := e2.DoCached(key, "cell", testCodec, compute)
+	_, err2 := e2.Do(context.Background(), key, "cell", testCodec, compute)
 	if computes != 1 {
 		t.Fatalf("computes = %d, want 1", computes)
 	}
@@ -140,7 +140,7 @@ func TestDiskCacheSkipsEnvironmentalFailures(t *testing.T) {
 	e := NewWithPolicy(context.Background(), 1, Policy{CellTimeout: 10 * time.Millisecond})
 	e.SetCache(dc)
 	release := make(chan struct{})
-	_, terr := e.DoCached(core.CellKey("test/slow", 1), "slow", testCodec,
+	_, terr := e.Do(context.Background(), core.CellKey("test/slow", 1), "slow", testCodec,
 		func(ctx context.Context) (any, error) { <-release; return 1, nil })
 	close(release)
 	if !errors.Is(terr, context.DeadlineExceeded) {
@@ -150,12 +150,12 @@ func TestDiskCacheSkipsEnvironmentalFailures(t *testing.T) {
 	// Cancellation, including a custom cause.
 	e2 := cachedEngine(t, dir)
 	e2.Cancel(errors.New("operator stop"))
-	e2.DoCached(core.CellKey("test/cancelled", 1), "c", testCodec,
+	e2.Do(context.Background(), core.CellKey("test/cancelled", 1), "c", testCodec,
 		func(context.Context) (any, error) { return 1, nil })
 
 	// Transient failure: retryable by definition.
 	e3 := cachedEngine(t, dir)
-	e3.DoCached(core.CellKey("test/transient", 1), "t", testCodec,
+	e3.Do(context.Background(), core.CellKey("test/transient", 1), "t", testCodec,
 		func(context.Context) (any, error) { return nil, Transient(errors.New("flaky")) })
 
 	if n, _ := e3.Cache().Len(); n != 0 {
@@ -179,7 +179,7 @@ func TestDiskCacheCorruptPayloadRecomputes(t *testing.T) {
 
 	computes := 0
 	e := cachedEngine(t, dir)
-	v, cerr := e.DoCached(key, "cell", testCodec,
+	v, cerr := e.Do(context.Background(), key, "cell", testCodec,
 		func(context.Context) (any, error) { computes++; return 7, nil })
 	if cerr != nil || v.(int) != 7 || computes != 1 {
 		t.Fatalf("corrupt payload not recomputed: v=%v err=%v computes=%d", v, cerr, computes)
@@ -190,7 +190,7 @@ func TestDiskCacheCorruptPayloadRecomputes(t *testing.T) {
 	}
 	// The recompute overwrote the bad entry; a fresh engine now hits.
 	e2 := cachedEngine(t, dir)
-	if v, err := e2.DoCached(key, "cell", testCodec,
+	if v, err := e2.Do(context.Background(), key, "cell", testCodec,
 		func(context.Context) (any, error) { computes++; return 7, nil }); err != nil || v.(int) != 7 || computes != 1 {
 		t.Fatalf("rewritten entry not served: %v %v computes=%d", v, err, computes)
 	}
@@ -202,7 +202,7 @@ func TestDiskCacheWriteFailuresDoNotAffectRun(t *testing.T) {
 	e := cachedEngine(t, t.TempDir(), diskcache.WithFS(ffs))
 
 	key := core.CellKey("test/unwritable", 1)
-	v, err := e.DoCached(key, "cell", testCodec, func(context.Context) (any, error) { return 9, nil })
+	v, err := e.Do(context.Background(), key, "cell", testCodec, func(context.Context) (any, error) { return 9, nil })
 	if err != nil || v.(int) != 9 {
 		t.Fatalf("run affected by write failure: %v, %v", v, err)
 	}
@@ -211,7 +211,7 @@ func TestDiskCacheWriteFailuresDoNotAffectRun(t *testing.T) {
 	}
 	// Memoized in memory regardless.
 	computes := 0
-	if v, _ := e.DoCached(key, "cell", testCodec, func(context.Context) (any, error) { computes++; return 9, nil }); v.(int) != 9 || computes != 0 {
+	if v, _ := e.Do(context.Background(), key, "cell", testCodec, func(context.Context) (any, error) { computes++; return 9, nil }); v.(int) != 9 || computes != 0 {
 		t.Fatal("in-memory memoization broken under write failures")
 	}
 }
@@ -220,7 +220,7 @@ func TestDiskCacheReadFaultsDegradeToCompute(t *testing.T) {
 	dir := t.TempDir()
 	key := core.CellKey("test/unreadable", 1)
 	e1 := cachedEngine(t, dir)
-	if _, err := e1.DoCached(key, "cell", testCodec, func(context.Context) (any, error) { return 3, nil }); err != nil {
+	if _, err := e1.Do(context.Background(), key, "cell", testCodec, func(context.Context) (any, error) { return 3, nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -228,7 +228,7 @@ func TestDiskCacheReadFaultsDegradeToCompute(t *testing.T) {
 	ffs.FailReads(errors.New("injected EIO"))
 	e2 := cachedEngine(t, dir, diskcache.WithFS(ffs))
 	computes := 0
-	v, err := e2.DoCached(key, "cell", testCodec, func(context.Context) (any, error) { computes++; return 3, nil })
+	v, err := e2.Do(context.Background(), key, "cell", testCodec, func(context.Context) (any, error) { computes++; return 3, nil })
 	if err != nil || v.(int) != 3 || computes != 1 {
 		t.Fatalf("read fault not degraded to compute: %v %v computes=%d", v, err, computes)
 	}

@@ -154,7 +154,7 @@ func (e *Engine) meshStructure(ctx context.Context, w adaptmesh.Workload) (*adap
 		func(v any) ([]byte, error) { return adaptmesh.EncodeStructure(v.(*adaptmesh.Structure), sw), nil },
 		func(data []byte) (any, error) { return adaptmesh.DecodeStructure(data, sw) },
 	)
-	v, err := e.DoCachedCtx(ctx, meshStructKey(w), "mesh structure", codec, func(context.Context) (any, error) {
+	v, err := e.Do(ctx, meshStructKey(w), "mesh structure", codec, func(context.Context) (any, error) {
 		return adaptmesh.BuildStructure(sw), nil
 	})
 	if err != nil {
@@ -177,7 +177,7 @@ func (e *Engine) MeshPlans(ctx context.Context, w adaptmesh.Workload, procs int)
 		func(v any) ([]byte, error) { return adaptmesh.EncodePlans(v.([]*adaptmesh.CyclePlan), procs), nil },
 		func(data []byte) (any, error) { return st.DecodePlans(data, procs) },
 	)
-	v, err := e.DoCachedCtx(ctx, meshPlanKey(w, procs), fmt.Sprintf("mesh plans P=%d", procs), codec, func(context.Context) (any, error) {
+	v, err := e.Do(ctx, meshPlanKey(w, procs), fmt.Sprintf("mesh plans P=%d", procs), codec, func(context.Context) (any, error) {
 		return st.Plans(procs, pw.NoRemap), nil
 	})
 	if err != nil {
@@ -194,7 +194,7 @@ func (e *Engine) Mesh(ctx context.Context, model core.Model, cfg machine.Config,
 		return Res{Err: fmt.Errorf("mesh plans: %w", err)}
 	}
 	key := core.CellKey("mesh/run", model, cfg, w)
-	return metricsRes(e.DoCachedCtx(ctx, key, fmt.Sprintf("mesh %v P=%d", model, cfg.Procs), MetricsCodec, func(context.Context) (any, error) {
+	return metricsRes(e.Do(ctx, key, fmt.Sprintf("mesh %v P=%d", model, cfg.Procs), MetricsCodec, func(context.Context) (any, error) {
 		return adaptmesh.RunWithPlans(model, machine.MustNew(cfg), w, plans), nil
 	}))
 }
@@ -219,7 +219,7 @@ func (e *Engine) MeshHybrid(ctx context.Context, cfg machine.Config, w adaptmesh
 		return Res{Err: fmt.Errorf("mesh plans: %w", err)}
 	}
 	key := core.CellKey("mesh/hybrid", cfg, w)
-	return metricsRes(e.DoCachedCtx(ctx, key, fmt.Sprintf("mesh MP+SAS P=%d", cfg.Procs), MetricsCodec, func(context.Context) (any, error) {
+	return metricsRes(e.Do(ctx, key, fmt.Sprintf("mesh MP+SAS P=%d", cfg.Procs), MetricsCodec, func(context.Context) (any, error) {
 		return adaptmesh.RunHybridWithPlans(m, w, plans), nil
 	}))
 }
@@ -232,7 +232,7 @@ func (e *Engine) nbodyStructure(ctx context.Context, w barnes.Workload) (*barnes
 		func(v any) ([]byte, error) { return barnes.EncodeStructure(v.(*barnes.Structure)), nil },
 		func(data []byte) (any, error) { return barnes.DecodeStructure(data, w) },
 	)
-	v, err := e.DoCachedCtx(ctx, nbodyStructKey(w), "n-body structure", codec, func(context.Context) (any, error) {
+	v, err := e.Do(ctx, nbodyStructKey(w), "n-body structure", codec, func(context.Context) (any, error) {
 		return barnes.BuildStructure(w), nil
 	})
 	if err != nil {
@@ -250,7 +250,7 @@ func (e *Engine) NBodyPlans(ctx context.Context, w barnes.Workload, procs int) (
 		return nil, err
 	}
 	key := core.CellKey("nbody/plans", w, procs)
-	v, err := e.DoCtx(ctx, key, fmt.Sprintf("n-body plans P=%d", procs), func(context.Context) (any, error) {
+	v, err := e.Do(ctx, key, fmt.Sprintf("n-body plans P=%d", procs), nil, func(context.Context) (any, error) {
 		return st.Plans(procs), nil
 	})
 	if err != nil {
@@ -266,7 +266,7 @@ func (e *Engine) NBody(ctx context.Context, model core.Model, cfg machine.Config
 		return Res{Err: fmt.Errorf("n-body plans: %w", err)}
 	}
 	key := core.CellKey("nbody/run", model, cfg, w)
-	return metricsRes(e.DoCachedCtx(ctx, key, fmt.Sprintf("n-body %v P=%d", model, cfg.Procs), MetricsCodec, func(context.Context) (any, error) {
+	return metricsRes(e.Do(ctx, key, fmt.Sprintf("n-body %v P=%d", model, cfg.Procs), MetricsCodec, func(context.Context) (any, error) {
 		return barnes.RunWithPlans(model, machine.MustNew(cfg), w, plans), nil
 	}))
 }
@@ -301,7 +301,7 @@ func (e *Engine) cgMesh(ctx context.Context, w cg.Workload) (*mesh.Mesh, error) 
 		},
 	)
 	sw := cgStructWorkload(w)
-	v, err := e.DoCachedCtx(ctx, cgMeshKey(w), "cg mesh", codec, func(context.Context) (any, error) {
+	v, err := e.Do(ctx, cgMeshKey(w), "cg mesh", codec, func(context.Context) (any, error) {
 		return cg.BuildMesh(sw), nil
 	})
 	if err != nil {
@@ -323,7 +323,7 @@ func (e *Engine) CGPlan(ctx context.Context, w cg.Workload, procs int) (*cg.Plan
 		func(v any) ([]byte, error) { return cg.EncodePlan(v.(*cg.Plan)), nil },
 		func(data []byte) (any, error) { return cg.DecodePlan(data, sw, m, procs) },
 	)
-	v, err := e.DoCachedCtx(ctx, cgPlanKey(w, procs), fmt.Sprintf("cg plan P=%d", procs), codec, func(context.Context) (any, error) {
+	v, err := e.Do(ctx, cgPlanKey(w, procs), fmt.Sprintf("cg plan P=%d", procs), codec, func(context.Context) (any, error) {
 		return cg.PlanForMesh(sw, m, procs), nil
 	})
 	if err != nil {
@@ -339,7 +339,7 @@ func (e *Engine) CG(ctx context.Context, model core.Model, cfg machine.Config, w
 		return Res{Err: fmt.Errorf("cg plan: %w", err)}
 	}
 	key := core.CellKey("cg/run", model, cfg, w)
-	return metricsRes(e.DoCachedCtx(ctx, key, fmt.Sprintf("cg %v P=%d", model, cfg.Procs), MetricsCodec, func(context.Context) (any, error) {
+	return metricsRes(e.Do(ctx, key, fmt.Sprintf("cg %v P=%d", model, cfg.Procs), MetricsCodec, func(context.Context) (any, error) {
 		return cg.RunWithPlan(model, machine.MustNew(cfg), w, plan), nil
 	}))
 }
@@ -355,7 +355,7 @@ func (e *Engine) CGModels(ctx context.Context, cfg machine.Config, w cg.Workload
 // it has no plan stage.
 func (e *Engine) Stencil(ctx context.Context, model core.Model, cfg machine.Config, w stencil.Workload) Res {
 	key := core.CellKey("stencil/run", model, cfg, w)
-	return metricsRes(e.DoCachedCtx(ctx, key, fmt.Sprintf("stencil %v P=%d", model, cfg.Procs), MetricsCodec, func(context.Context) (any, error) {
+	return metricsRes(e.Do(ctx, key, fmt.Sprintf("stencil %v P=%d", model, cfg.Procs), MetricsCodec, func(context.Context) (any, error) {
 		return stencil.Run(model, machine.MustNew(cfg), w), nil
 	}))
 }

@@ -343,7 +343,7 @@ func TestConcurrentPutGet(t *testing.T) {
 }
 
 // TestConcurrentPutSameKeyTwoCaches races same-key commits from two Cache
-// instances over one directory — the multi-process collision (two workers,
+// instances over one directory — the multi-process collision (two processes,
 // one cell, no or degraded leases). Atomic rename must leave exactly one
 // valid committed entry and no temp debris, whichever writer won.
 func TestConcurrentPutSameKeyTwoCaches(t *testing.T) {

@@ -18,7 +18,7 @@ type EventKind uint8
 // The cell lifecycle events the engine reports.
 const (
 	// EventCompute is one compute attempt: a span from worker-slot
-	// acquisition to the attempt's outcome (including queue wait).
+	// acquisition to the attempt's outcome (queue wait excluded).
 	EventCompute EventKind = iota
 	// EventMemoHit is a request served from the in-memory cell map after
 	// the cell completed (instant).
@@ -71,9 +71,9 @@ func (e *Engine) SetHook(h Hook) { e.hook = h }
 type reqHookKey struct{}
 
 // WithRequestHook returns a context that carries h as a per-request event
-// hook. Every event a DoCtx/DoCachedCtx call fires for that request — and
-// only that request — is also delivered to h, in addition to the engine-wide
-// SetHook observer. Because all event kinds fire synchronously in the
+// hook. Every event a Do call fires for that request — and only that
+// request — is also delivered to h, in addition to the engine-wide SetHook
+// observer. Because all event kinds fire synchronously in the
 // requester's own goroutines, a request hook sees exactly the cell
 // lifecycle of its request with correct attribution, even while other
 // requests share the engine — the seam the experiment server streams

@@ -43,10 +43,10 @@ func TestHookComputeAndMemoHit(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		return 42, nil
 	}
-	if _, err := e.Do("k1", "cell one", compute); err != nil {
+	if _, err := e.Do(context.Background(), "k1", "cell one", nil, compute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Do("k1", "cell one", compute); err != nil {
+	if _, err := e.Do(context.Background(), "k1", "cell one", nil, compute); err != nil {
 		t.Fatal(err)
 	}
 	comps := log.byKind(EventCompute)
@@ -76,7 +76,7 @@ func TestHookDedupSpan(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		e.Do("k", "slow", func(context.Context) (any, error) {
+		e.Do(context.Background(), "k", "slow", nil, func(context.Context) (any, error) {
 			close(started)
 			<-release
 			return 1, nil
@@ -85,7 +85,7 @@ func TestHookDedupSpan(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-started
-		e.Do("k", "slow", func(context.Context) (any, error) { return 1, nil })
+		e.Do(context.Background(), "k", "slow", nil, func(context.Context) (any, error) { return 1, nil })
 	}()
 	// Give the second requester time to block on the in-flight owner, then
 	// let the owner finish.
@@ -108,7 +108,7 @@ func TestHookRetryAndFailure(t *testing.T) {
 	e.SetHook(log.hook)
 	boom := Transient(errors.New("flaky"))
 	calls := 0
-	_, err := e.Do("k", "flaky cell", func(context.Context) (any, error) {
+	_, err := e.Do(context.Background(), "k", "flaky cell", nil, func(context.Context) (any, error) {
 		calls++
 		if calls < 3 {
 			return nil, boom
@@ -148,16 +148,16 @@ func TestHookDiskHit(t *testing.T) {
 	key := core.CellKey("test/hook-disk", 1)
 
 	warm := cachedEngine(t, dir)
-	if _, err := warm.DoCached(key, "cached cell", codec, compute); err != nil {
+	if _, err := warm.Do(context.Background(), key, "cached cell", codec, compute); err != nil {
 		t.Fatal(err)
 	}
 
 	log := &eventLog{}
 	e := cachedEngine(t, dir)
 	e.SetHook(log.hook)
-	v, err := e.DoCached(key, "cached cell", codec, compute)
+	v, err := e.Do(context.Background(), key, "cached cell", codec, compute)
 	if err != nil || v != "payload" {
-		t.Fatalf("DoCached = %v, %v", v, err)
+		t.Fatalf("Do = %v, %v", v, err)
 	}
 	if n := len(log.byKind(EventCompute)); n != 0 {
 		t.Fatalf("disk-served cell emitted %d compute events", n)

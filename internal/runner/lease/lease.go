@@ -1,8 +1,9 @@
 // Package lease is the cross-process single-flight layer of the persistent
 // cell cache (DESIGN.md §5.10): per-cell lease files in the cache directory
-// that let N worker processes sharing one cache agree on who computes each
-// cell, while surviving any of those workers dying — even by SIGKILL — at
-// any instant.
+// that let several processes sharing one cache (CLI runs and `o2kbench
+// serve` daemons started with -leases) agree on who computes each cell,
+// while surviving any of those processes dying — even by SIGKILL — at any
+// instant.
 //
 // A lease is a sidecar file `<key>.lease` next to the cell's entry in the
 // shard layout of internal/runner/diskcache. Its one-line JSON record names
@@ -23,7 +24,7 @@
 //     cross-process clock skew cannot trigger a steal. A stale lease is
 //     stolen by re-reading after a randomized backoff, removing it, and
 //     re-acquiring through the normal Link path; after winning, the thief
-//     waits a grace period and re-verifies ownership before reporting
+//     waits one heartbeat and re-verifies ownership before reporting
 //     Acquired, closing most of the window against a zombie owner's
 //     in-flight renewal.
 //
@@ -32,8 +33,8 @@
 // degrades to Degraded, which callers must treat as "compute anyway": the
 // simulator is deterministic and entry commits are last-rename-wins, so a
 // broken lease layer can waste work but can never change a run's bytes or
-// fail it. This extends PR 4's cache invariant one level up: leases make
-// multi-process sweeps *economical*, the cache alone already makes them
+// fail it. This extends the cache's invariant one level up: leases make
+// processes sharing a cache *economical*, the cache alone already makes them
 // *correct*.
 package lease
 
@@ -57,13 +58,11 @@ import (
 // Defaults for Config's tuning knobs. Heartbeat and Stale trade reclaim
 // latency against steal safety: a SIGKILLed owner's cells come back after
 // ~Stale, while a live owner would have to pause for the whole Stale window
-// (120 missed heartbeat opportunities… well, Stale/Heartbeat of them) to be
-// stolen from.
+// (Stale/Heartbeat = 20 missed heartbeats) to be stolen from.
 const (
 	DefaultHeartbeat = 100 * time.Millisecond
 	DefaultStale     = 2 * time.Second
 	DefaultPoll      = 15 * time.Millisecond
-	DefaultGrace     = 150 * time.Millisecond // foreign-shard deference window
 )
 
 // Status is the outcome of an Acquire attempt.
@@ -73,9 +72,9 @@ const (
 	// Acquired: the caller owns the lease and must compute the cell, then
 	// Release.
 	Acquired Status = iota
-	// Busy: a foreign live lease (or a shard-deference grace period) covers
-	// the key; the caller should poll the cache for the owner's committed
-	// entry and re-Acquire if the entry never appears.
+	// Busy: a foreign live lease covers the key; the caller should poll the
+	// cache for the owner's committed entry and re-Acquire if the entry never
+	// appears.
 	Busy
 	// Degraded: the lease machinery failed (I/O error, no hard links, …);
 	// the caller must compute anyway, without mutual exclusion.
@@ -101,38 +100,18 @@ type record struct {
 	HB    int64  `json:"hb"`  // writer-clock heartbeat, unix nanos (Sweep only)
 }
 
-// Event is one lease-protocol action, delivered to Config.Hook. The chaos
-// harness's lease-owner audit is built on these: acquire/renew/release/lost
-// events from every worker, merged and checked for overlapping holds.
-type Event struct {
-	Kind  string    `json:"ev"` // acquire | steal | renew | release | lost
-	Key   string    `json:"key"`
-	Owner string    `json:"owner"`
-	Seq   int64     `json:"seq"`
-	T     time.Time `json:"-"`
-	TNano int64     `json:"t"` // T as unix nanos, for the JSONL audit stream
-}
-
 // Config parameterizes a Manager. Dir is required; everything else has a
 // working default.
 type Config struct {
-	Dir   string      // cache directory (diskcache shard layout)
-	Owner string      // unique owner id; default host:pid:token
+	Dir   string       // cache directory (diskcache shard layout)
+	Owner string       // unique owner id; default host:pid:token
 	FS    diskcache.FS // filesystem seam; default OSFS
 
 	Heartbeat time.Duration // renewal interval; default DefaultHeartbeat
 	Stale     time.Duration // steal after this much observed silence; default DefaultStale
 	Poll      time.Duration // waiter poll interval hint; default DefaultPoll
-	Grace     time.Duration // foreign-shard deference window; default DefaultGrace
 
-	// Shard/Shards bias (never partition) the cell space: an acquirer whose
-	// key hashes to a foreign shard defers to that shard's owner for Grace
-	// before competing, so N workers spread across the space yet any worker
-	// can still cover a dead peer's cells. Shards <= 1 disables deference.
-	Shard, Shards int
-
-	Seed int64        // seeds steal backoff + poll jitter; 0 derives per-process
-	Hook func(Event) // protocol observer; nil = silent
+	Seed int64 // seeds steal backoff + poll jitter; 0 derives per-process
 }
 
 // Stats is a snapshot of the manager's protocol counters.
@@ -161,7 +140,6 @@ type Manager struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	seen  map[string]observation // foreign-lease staleness observations
-	grace map[string]time.Time   // free-lease shard-deference start times
 	stats Stats
 }
 
@@ -188,25 +166,19 @@ func New(cfg Config) *Manager {
 	if cfg.Poll <= 0 {
 		cfg.Poll = DefaultPoll
 	}
-	if cfg.Grace < 0 {
-		cfg.Grace = 0
-	} else if cfg.Grace == 0 {
-		cfg.Grace = DefaultGrace
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = time.Now().UnixNano() ^ int64(os.Getpid())<<32
 	}
 	return &Manager{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(seed)),
-		seen:  make(map[string]observation),
-		grace: make(map[string]time.Time),
+		cfg:  cfg,
+		rng:  rand.New(rand.NewSource(seed)),
+		seen: make(map[string]observation),
 	}
 }
 
 // defaultOwner builds a cluster-unique owner id. The random token makes two
-// incarnations of one pid distinguishable, so a respawned worker never
+// incarnations of one pid distinguishable, so a restarted process never
 // mistakes its predecessor's lease for its own.
 func defaultOwner() string {
 	host, err := os.Hostname()
@@ -215,9 +187,6 @@ func defaultOwner() string {
 	}
 	return fmt.Sprintf("%s:%d:%08x", host, os.Getpid(), rand.Uint32())
 }
-
-// Owner returns the manager's owner id.
-func (m *Manager) Owner() string { return m.cfg.Owner }
 
 // Stats snapshots the protocol counters.
 func (m *Manager) Stats() Stats {
@@ -238,14 +207,6 @@ func (m *Manager) PollInterval() time.Duration {
 
 func (m *Manager) path(key string) string {
 	return diskcache.SidecarPath(m.cfg.Dir, key, ".lease")
-}
-
-func (m *Manager) emit(kind, key string, seq int64) {
-	if m.cfg.Hook == nil {
-		return
-	}
-	now := time.Now()
-	m.cfg.Hook(Event{Kind: kind, Key: key, Owner: m.cfg.Owner, Seq: seq, T: now, TNano: now.UnixNano()})
 }
 
 func (m *Manager) note(counter *int64) {
@@ -272,10 +233,6 @@ func (m *Manager) Acquire(key string) (*Lease, Status) {
 	data, err := m.cfg.FS.ReadFile(path)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
-		if m.deferToShardOwner(key) {
-			m.note(&m.stats.Busy)
-			return nil, Busy
-		}
 		return m.take(key, path, false)
 	case err != nil:
 		m.note(&m.stats.Degraded)
@@ -329,7 +286,7 @@ func (m *Manager) Acquire(key string) (*Lease, Status) {
 
 // take attempts the atomic create-exclusive acquisition, and on success
 // starts the heartbeat. steal marks the acquisition as a reclaim for the
-// stats and the audit stream, and arms the post-steal verification grace.
+// stats, and arms the post-steal verification wait.
 func (m *Manager) take(key, path string, steal bool) (*Lease, Status) {
 	rec := record{Key: key, Owner: m.cfg.Owner, Seq: 1, HB: time.Now().UnixNano()}
 	data, err := json.Marshal(rec)
@@ -388,16 +345,10 @@ func (m *Manager) take(key, path string, steal bool) (*Lease, Status) {
 
 	l := &Lease{
 		m:    m,
-		key:  key,
 		path: path,
 		rec:  rec,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
-	}
-	if steal {
-		m.emit("steal", key, rec.Seq)
-	} else {
-		m.emit("acquire", key, rec.Seq)
 	}
 	go l.heartbeat()
 	return l, Acquired
@@ -406,39 +357,6 @@ func (m *Manager) take(key, path string, steal bool) (*Lease, Status) {
 // tmpPath disambiguates concurrent acquisitions process-wide.
 func (m *Manager) tmpPath(path string) string {
 	return fmt.Sprintf("%s.tmp.%d.%d", path, os.Getpid(), tmpSeq.Add(1))
-}
-
-// deferToShardOwner implements the shard bias: for a free lease on a
-// foreign-shard key, wait out a Grace window (starting at first sight) to
-// give the preferred worker time to claim it. Returns true while deferring.
-func (m *Manager) deferToShardOwner(key string) bool {
-	if m.cfg.Shards <= 1 || ShardOf(key, m.cfg.Shards) == m.cfg.Shard || m.cfg.Grace <= 0 {
-		return false
-	}
-	now := time.Now()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	start, ok := m.grace[key]
-	if !ok {
-		m.grace[key] = now
-		return true
-	}
-	return now.Sub(start) < m.cfg.Grace
-}
-
-// ShardOf maps a cell key to one of n shards (FNV-1a over the key bytes).
-// Exported so the orchestrator and tests agree with the manager on the
-// partition.
-func ShardOf(key string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h % uint32(n))
 }
 
 // observedStale reports whether key's lease content has been unchanged for
@@ -463,12 +381,11 @@ func (m *Manager) observe(key string, rec record) {
 	m.mu.Unlock()
 }
 
-// forget drops key's observation and grace state (the lease changed hands or
-// disappeared; stale bookkeeping must restart from scratch).
+// forget drops key's observation (the lease changed hands or disappeared;
+// stale bookkeeping must restart from scratch).
 func (m *Manager) forget(key string) {
 	m.mu.Lock()
 	delete(m.seen, key)
-	delete(m.grace, key)
 	m.mu.Unlock()
 }
 
@@ -498,7 +415,6 @@ func parseRecord(data []byte) (record, error) {
 // Release (or until it is observed stolen).
 type Lease struct {
 	m    *Manager
-	key  string
 	path string
 
 	mu   sync.Mutex
@@ -508,9 +424,6 @@ type Lease struct {
 	stop chan struct{} // closed by Release
 	done chan struct{} // closed when the heartbeat goroutine exits
 }
-
-// Key returns the cell key the lease covers.
-func (l *Lease) Key() string { return l.key }
 
 // Lost reports whether the lease was observed taken by another owner (e.g.
 // stolen during a long local pause). The holder cannot abort a deterministic
@@ -554,7 +467,6 @@ func (l *Lease) renew() bool {
 		if rec, perr := parseRecord(data); perr == nil && rec.Owner != l.rec.Owner {
 			l.lost = true
 			l.m.note(&l.m.stats.Lost)
-			l.m.emit("lost", l.key, l.rec.Seq)
 			return false
 		}
 	}
@@ -573,7 +485,6 @@ func (l *Lease) renew() bool {
 		l.m.cfg.FS.Remove(tmp)
 		return true
 	}
-	l.m.emit("renew", l.key, l.rec.Seq)
 	return true
 }
 
@@ -596,13 +507,11 @@ func (l *Lease) Release() {
 		if rec, perr := parseRecord(data); perr == nil && rec.Owner != l.rec.Owner {
 			l.lost = true
 			l.m.note(&l.m.stats.Lost)
-			l.m.emit("lost", l.key, l.rec.Seq)
 			return
 		}
 	}
 	l.m.cfg.FS.Remove(l.path)
 	l.m.note(&l.m.stats.Released)
-	l.m.emit("release", l.key, l.rec.Seq)
 }
 
 // SweepStats summarizes a Sweep pass.
@@ -614,11 +523,11 @@ type SweepStats struct {
 // Sweep removes lease files whose writer-clock heartbeat is older than
 // staleAfter (<= 0 selects DefaultStale), plus any that do not parse; live
 // leases are untouched. It is the offline janitor behind `o2kbench
-// -cache-verify`: after a chaos run every killed worker's leases linger, and
-// this is what reclaims them. Unlike the online steal path, Sweep compares
-// the embedded timestamp against the local clock — it runs on the same
-// machine as the workers (the cache directory is the coordination substrate),
-// where that comparison is sound.
+// -cache-verify`: a killed process's leases linger, and this is what
+// reclaims them. Unlike the online steal path, Sweep compares the embedded
+// timestamp against the local clock — it runs on the same machine as the
+// processes sharing the cache (the cache directory is the coordination
+// substrate), where that comparison is sound.
 func Sweep(dir string, fsys diskcache.FS, staleAfter time.Duration) (SweepStats, error) {
 	if fsys == nil {
 		fsys = diskcache.OSFS{}

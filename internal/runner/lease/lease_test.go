@@ -22,8 +22,7 @@ func key(s string) string {
 }
 
 // fastCfg returns a Config tuned so steals happen in tens of milliseconds
-// instead of seconds. Grace: -1 disables shard deference (Config normalizes
-// negatives to zero).
+// instead of seconds.
 func fastCfg(dir, owner string) Config {
 	return Config{
 		Dir:       dir,
@@ -31,7 +30,6 @@ func fastCfg(dir, owner string) Config {
 		Heartbeat: 5 * time.Millisecond,
 		Stale:     50 * time.Millisecond,
 		Poll:      5 * time.Millisecond,
-		Grace:     -1,
 		Seed:      1,
 	}
 }
@@ -68,7 +66,7 @@ func TestAcquireConflictRelease(t *testing.T) {
 	}
 }
 
-// writeDeadLease plants a lease file as a SIGKILLed foreign worker would
+// writeDeadLease plants a lease file as a SIGKILLed foreign process would
 // leave it: a valid record that will never heartbeat again.
 func writeDeadLease(t *testing.T, dir, k string, hb time.Time) {
 	t.Helper()
@@ -190,50 +188,6 @@ func TestInvalidKeyDegrades(t *testing.T) {
 	if _, st := m.Acquire("../../evil"); st != Degraded {
 		t.Fatalf("acquire of invalid key = %v, want Degraded", st)
 	}
-}
-
-func TestShardOf(t *testing.T) {
-	if ShardOf(key("x"), 1) != 0 || ShardOf(key("x"), 0) != 0 {
-		t.Fatal("degenerate shard counts must map to 0")
-	}
-	counts := make([]int, 4)
-	for i := 0; i < 256; i++ {
-		s := ShardOf(key(fmt.Sprintf("cell-%d", i)), 4)
-		if s < 0 || s >= 4 {
-			t.Fatalf("ShardOf out of range: %d", s)
-		}
-		counts[s]++
-	}
-	for s, n := range counts {
-		if n == 0 {
-			t.Fatalf("shard %d got none of 256 keys — hash not spreading (%v)", s, counts)
-		}
-	}
-}
-
-func TestShardDeferenceThenCover(t *testing.T) {
-	dir := t.TempDir()
-	cfg := fastCfg(dir, "host:8:00000002")
-	cfg.Shards = 2
-	cfg.Grace = 40 * time.Millisecond
-	// Pick a key owned by the *other* shard.
-	var k string
-	for i := 0; ; i++ {
-		k = key(fmt.Sprintf("foreign-%d", i))
-		if ShardOf(k, 2) != cfg.Shard {
-			break
-		}
-	}
-	m := New(cfg)
-	if _, st := m.Acquire(k); st != Busy {
-		t.Fatalf("first acquire of a free foreign-shard key = %v, want Busy (deference)", st)
-	}
-	time.Sleep(cfg.Grace + 10*time.Millisecond)
-	l, st := m.Acquire(k)
-	if st != Acquired {
-		t.Fatalf("acquire after the grace window = %v, want Acquired (cover the dead peer)", st)
-	}
-	l.Release()
 }
 
 func TestSweep(t *testing.T) {

@@ -11,15 +11,15 @@ import (
 // This file is the engine's bridge to the cross-process single-flight layer
 // (internal/runner/lease, DESIGN.md §5.10). The in-memory memo map and the
 // single-flight slot already guarantee each cell is computed once *per
-// process*; with a lease manager attached, the owner path of DoCached
-// extends that to once *per cache directory*: before computing a
-// cache-missed cell, the owner takes the cell's lease, and requesters in
-// other processes wait on the committed entry instead of re-simulating.
+// process*; with a lease manager attached, the owner path of Do extends
+// that to once *per cache directory*: before computing a cache-missed cell,
+// the owner takes the cell's lease, and requesters in other processes wait
+// on the committed entry instead of re-simulating.
 //
-// The layering keeps PR 4's invariant intact: leases gate only *who
+// The layering keeps the cache's invariant intact: leases gate only *who
 // computes*, never *what is served*. Every lease failure degrades to
 // computing without exclusion, and a waiter whose foreign owner dies
-// re-acquires through the manager's steal path — so a SIGKILLed worker's
+// re-acquires through the manager's steal path — so a SIGKILLed process's
 // cells are reclaimed after the stale deadline, never orphaned.
 
 // SetLeases attaches a cross-process lease manager. It must be called
@@ -28,34 +28,32 @@ import (
 // single-flight process-local.
 func (e *Engine) SetLeases(m *lease.Manager) { e.leases = m }
 
-// Leases returns the attached lease manager, or nil.
-func (e *Engine) Leases() *lease.Manager { return e.leases }
-
-// computeShared is the owner path of DoCached when a lease manager is
-// attached and the disk probe missed: coordinate with other processes over
-// the cell's lease, and either compute under it or adopt the foreign
-// owner's committed entry. fromDisk reports the latter.
-func (e *Engine) computeShared(ctx context.Context, rh Hook, key, label string, codec *Codec, compute func(ctx context.Context) (any, error)) (val any, err error, attempts int, fromDisk bool) {
+// computeShared is the owner path of Do when a lease manager is attached
+// and the disk probe missed: coordinate with other processes over the cell's
+// lease, and either compute under it or adopt the foreign owner's committed
+// entry (which sets c.fromDisk). The outcome is recorded on c.
+func (e *Engine) computeShared(c *cell, rh Hook, codec *Codec, compute func(ctx context.Context) (any, error)) {
 	for {
-		l, st := e.leases.Acquire(key)
+		l, st := e.leases.Acquire(c.key)
 		switch st {
 		case lease.Acquired:
 			// Double-check the entry under the lease: between our cache probe
 			// and this acquisition, a foreign owner may have committed and
 			// released. Re-probing here makes the cold-cell guarantee exact —
 			// each key is computed once per cache directory, not once per
-			// probe-miss — which the experiment-server fleet test asserts.
-			if v, cerr, ok := e.diskLoad(key, codec); ok {
+			// probe-miss — which the two-server test asserts.
+			if v, cerr, ok := e.diskLoad(c.key, codec); ok {
 				l.Release()
-				return v, cerr, 0, true
+				c.val, c.err, c.fromDisk = v, cerr, true
+				return
 			}
 			// Commit the outcome before releasing: a waiter that sees the
 			// lease vanish must find the entry (or conclude the outcome was
 			// environmental and compute it itself).
-			val, err, attempts = e.run(ctx, rh, key, label, compute)
-			e.diskStore(key, codec, val, err)
+			e.run(c, rh, compute)
+			e.diskStore(c.key, codec, c.val, c.err)
 			l.Release()
-			return val, err, attempts, false
+			return
 
 		case lease.Busy:
 			// A live foreign owner is computing. Poll for its entry with
@@ -63,11 +61,13 @@ func (e *Engine) computeShared(ctx context.Context, rh Hook, key, label string, 
 			// owner to stale — and us to the steal path — if it dies.
 			select {
 			case <-time.After(e.leases.PollInterval()):
-			case <-ctx.Done():
-				return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx)), 0, false
+			case <-c.cctx.Done():
+				c.err = fmt.Errorf("cell %s: %w", c.label, context.Cause(c.cctx))
+				return
 			}
-			if v, cerr, ok := e.diskLoad(key, codec); ok {
-				return v, cerr, 0, true
+			if v, cerr, ok := e.diskLoad(c.key, codec); ok {
+				c.val, c.err, c.fromDisk = v, cerr, true
+				return
 			}
 
 		default: // lease.Degraded
@@ -75,9 +75,9 @@ func (e *Engine) computeShared(ctx context.Context, rh Hook, key, label string, 
 			// hard links, corrupt-and-unremovable lease). Compute without
 			// exclusion: worst case is duplicated work, and last-rename-wins
 			// on identical bytes keeps the cache coherent.
-			val, err, attempts = e.run(ctx, rh, key, label, compute)
-			e.diskStore(key, codec, val, err)
-			return val, err, attempts, false
+			e.run(c, rh, compute)
+			e.diskStore(c.key, codec, c.val, c.err)
+			return
 		}
 	}
 }

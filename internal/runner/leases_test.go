@@ -14,7 +14,7 @@ import (
 )
 
 // leasedEngine builds an engine whose disk cache and lease manager share dir,
-// as one worker process of a fleet would.
+// as one of several processes sharing a cache would.
 func leasedEngine(t *testing.T, dir, owner string) *Engine {
 	t.Helper()
 	e := cachedEngine(t, dir)
@@ -24,13 +24,12 @@ func leasedEngine(t *testing.T, dir, owner string) *Engine {
 		Heartbeat: 5 * time.Millisecond,
 		Stale:     200 * time.Millisecond,
 		Poll:      5 * time.Millisecond,
-		Grace:     -1,
 		Seed:      1,
 	}))
 	return e
 }
 
-// TestLeaseCrossEngineSingleFlight is the in-process model of two worker
+// TestLeaseCrossEngineSingleFlight is the in-process model of two
 // processes hitting the same cold cell: exactly one pays for the compute, the
 // other adopts the committed entry off disk.
 func TestLeaseCrossEngineSingleFlight(t *testing.T) {
@@ -53,7 +52,7 @@ func TestLeaseCrossEngineSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int, e *Engine) {
 			defer wg.Done()
-			vals[i], errs[i] = e.DoCached(key, "cell", testCodec, compute)
+			vals[i], errs[i] = e.Do(context.Background(), key, "cell", testCodec, compute)
 		}(i, e)
 	}
 	wg.Wait()
@@ -79,7 +78,7 @@ func TestLeaseCrossEngineSingleFlight(t *testing.T) {
 }
 
 // TestLeaseFaultsStillComputeCells pins the degradation invariant one level
-// up: with every lease-file operation failing, DoCached still computes and
+// up: with every lease-file operation failing, Do still computes and
 // returns the value — leases are an economy, never a correctness gate.
 func TestLeaseFaultsStillComputeCells(t *testing.T) {
 	dir := t.TempDir()
@@ -92,10 +91,10 @@ func TestLeaseFaultsStillComputeCells(t *testing.T) {
 
 	e := cachedEngine(t, dir)
 	e.SetLeases(lease.New(lease.Config{Dir: dir, FS: ffs, Seed: 1}))
-	v, err := e.DoCached(core.CellKey("test/degraded", 1), "cell", testCodec,
+	v, err := e.Do(context.Background(), core.CellKey("test/degraded", 1), "cell", testCodec,
 		func(context.Context) (any, error) { return 11, nil })
 	if err != nil || v.(int) != 11 {
-		t.Fatalf("DoCached under total lease failure = %v, %v; want the computed value", v, err)
+		t.Fatalf("Do under total lease failure = %v, %v; want the computed value", v, err)
 	}
 	if r := e.Report(); r.Lease == nil || r.Lease.Degraded == 0 {
 		t.Fatalf("report lease stats = %+v, want Degraded > 0", r.Lease)
@@ -103,7 +102,7 @@ func TestLeaseFaultsStillComputeCells(t *testing.T) {
 	// The entry must still have been committed (cache path is healthy).
 	e2 := cachedEngine(t, dir)
 	recomputed := false
-	if _, err := e2.DoCached(core.CellKey("test/degraded", 1), "cell", testCodec,
+	if _, err := e2.Do(context.Background(), core.CellKey("test/degraded", 1), "cell", testCodec,
 		func(context.Context) (any, error) { recomputed = true; return 11, nil }); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 type CellStat struct {
 	Label    string        `json:"label"`               // human-readable cell description
 	Key      string        `json:"key"`                 // content hash (core.CellKey)
-	Wall     time.Duration `json:"wall_ns"`             // compute wall time paid by the owner
+	Wall     time.Duration `json:"wall_ns"`             // summed compute attempts, slot wait excluded (0 if from disk)
 	Hits     int64         `json:"hits"`                // requests served from the completed cache entry
 	Dedups   int64         `json:"dedups"`              // requests that shared the in-flight execution
 	Attempts int           `json:"attempts"`            // compute executions (1 unless retried)
@@ -33,9 +33,9 @@ type Report struct {
 	Requests     int64         `json:"requests"`
 	Hits         int64         `json:"hits"`
 	Dedups       int64         `json:"dedups"`
-	Failures     int           `json:"failures"`       // completed cells that ended in error
-	CellWall     time.Duration `json:"cell_wall_ns"`   // summed compute time of all unique cells
-	DiskHits     int64         `json:"disk_hits"`      // unique cells restored from the persistent cache
+	Failures     int           `json:"failures"`        // completed cells that ended in error
+	CellWall     time.Duration `json:"cell_wall_ns"`    // summed compute time of all unique cells
+	DiskHits     int64         `json:"disk_hits"`       // unique cells restored from the persistent cache
 	PlanCells    int           `json:"plan_cells"`      // completed plan-tier cells (structures + plans)
 	PlanDiskHits int64         `json:"plan_disk_hits"`  // plan-tier cells restored from the persistent cache
 	Disk         *DiskStats    `json:"disk,omitempty"`  // persistent-cache telemetry, nil when memory-only

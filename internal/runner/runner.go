@@ -128,7 +128,7 @@ type cell struct {
 	done     chan struct{} // closed once val/err are set
 	val      any
 	err      error
-	wall     time.Duration // compute wall time across all attempts
+	wall     time.Duration // summed compute time of the attempts, slot wait excluded
 	attempts int           // times compute actually ran
 	fromDisk bool          // outcome restored from the persistent cache
 	retired  bool          // aborted outcome withdrawn from the memo map
@@ -203,42 +203,20 @@ func (e *Engine) Cancel(cause error) { e.cancel(cause) }
 // always unblock, and a subsequent request of the same key returns the
 // cached error without recomputing.
 //
-// compute receives a context cancelled at the per-cell deadline or on
-// engine cancellation; long-running computes may observe it, but the
-// simulation runtime's stall watchdog is the backstop for those that don't.
+// A non-nil codec also persists the cell across processes: when the engine
+// has a cache (SetCache), the owner consults the disk before computing and
+// writes the outcome back after. Disk is strictly a third tier behind the
+// in-memory map and the single-flight slot — a warm entry costs one read,
+// and every disk failure (absent, unreadable, corrupt, stale) silently falls
+// through to compute, so cached and uncached runs are byte-identical by
+// construction. A nil codec keeps the cell memory-only.
 //
-// compute must not call Do (directly or through a typed cell helper) —
-// nested acquisition could deadlock the bounded pool. Resolve dependency
-// cells *before* calling Do and capture their results in the closure, as
-// the typed helpers in cells.go do with their plan cells.
-func (e *Engine) Do(key, label string, compute func(ctx context.Context) (any, error)) (any, error) {
-	return e.DoCachedCtx(context.Background(), key, label, nil, compute)
-}
-
-// DoCached is Do for cells that also persist across processes: when the
-// engine has a cache (SetCache) and codec is non-nil, the owner consults
-// the disk before computing and writes the outcome back after. Disk is
-// strictly a third tier behind the in-memory map and the single-flight
-// slot — a warm entry costs one read, and every disk failure (absent,
-// unreadable, corrupt, stale) silently falls through to compute, so cached
-// and uncached runs are byte-identical by construction.
-func (e *Engine) DoCached(key, label string, codec *Codec, compute func(ctx context.Context) (any, error)) (any, error) {
-	return e.DoCachedCtx(context.Background(), key, label, codec, compute)
-}
-
-// DoCtx is Do scoped to one request: cancelling ctx abandons this request's
-// wait without disturbing the engine or other requesters of the same cell.
-func (e *Engine) DoCtx(ctx context.Context, key, label string, compute func(ctx context.Context) (any, error)) (any, error) {
-	return e.DoCachedCtx(ctx, key, label, nil, compute)
-}
-
-// DoCachedCtx is DoCached scoped to one request (the experiment server's
-// entry point; the CLI paths call it with a background context through
-// Do/DoCached and behave exactly as before). The request semantics:
+// ctx scopes the request, not the cell:
 //
 //   - every live requester of an in-flight cell — the owner included —
 //     holds one reference on it; cancelling ctx drops this request out of
-//     its wait immediately with ctx's cause;
+//     its wait immediately with ctx's cause, without disturbing the engine
+//     or other requesters of the same cell;
 //   - when the *last* reference leaves a cell that has not completed, the
 //     cell's compute context is cancelled with ErrCellAborted: a client
 //     disconnect aborts only cells no other request still wants;
@@ -250,10 +228,19 @@ func (e *Engine) DoCtx(ctx context.Context, key, label string, compute func(ctx 
 //
 // If ctx carries a request hook (WithRequestHook), every event this request
 // produces is also delivered to it.
-func (e *Engine) DoCachedCtx(ctx context.Context, key, label string, codec *Codec, compute func(ctx context.Context) (any, error)) (any, error) {
+//
+// compute receives a context cancelled at the per-cell deadline, on engine
+// cancellation, or on abort; long-running computes may observe it, but the
+// simulation runtime's stall watchdog is the backstop for those that don't.
+//
+// compute must not call Do (directly or through a typed cell helper) —
+// nested acquisition could deadlock the bounded pool. Resolve dependency
+// cells *before* calling Do and capture their results in the closure, as
+// the typed helpers in cells.go do with their plan cells.
+func (e *Engine) Do(ctx context.Context, key, label string, codec *Codec, compute func(ctx context.Context) (any, error)) (any, error) {
 	rh := requestHook(ctx)
 	for {
-		v, err, retry := e.doCached(ctx, rh, key, label, codec, compute)
+		v, err, retry := e.do(ctx, rh, key, label, codec, compute)
 		if !retry {
 			return v, err
 		}
@@ -271,10 +258,10 @@ func (e *Engine) unregister(c *cell) {
 	e.mu.Unlock()
 }
 
-// doCached is one pass of DoCachedCtx: serve, wait, or own. retry is true
-// when the observed outcome was a retired (aborted) cell while this request
-// is still live — the caller loops and looks the key up again.
-func (e *Engine) doCached(ctx context.Context, rh Hook, key, label string, codec *Codec, compute func(ctx context.Context) (any, error)) (val any, err error, retry bool) {
+// do is one pass of Do: serve, wait, or own. retry is true when the observed
+// outcome was a retired (aborted) cell while this request is still live —
+// the caller loops and looks the key up again.
+func (e *Engine) do(ctx context.Context, rh Hook, key, label string, codec *Codec, compute func(ctx context.Context) (any, error)) (val any, err error, retry bool) {
 	e.mu.Lock()
 	if c, ok := e.cells[key]; ok {
 		e.mu.Unlock()
@@ -393,19 +380,15 @@ func (e *Engine) publish(c *cell, rh Hook, codec *Codec, compute func(ctx contex
 	start := time.Now()
 	if v, cerr, ok := e.diskLoad(c.key, codec); ok {
 		c.val, c.err, c.fromDisk = v, cerr, true
-		if e.hooked(rh) {
-			e.fire(rh, Event{Kind: EventDiskHit, Key: c.key, Label: c.label, Start: start, Dur: time.Since(start), Err: errMsg(cerr)})
-		}
 	} else if e.leases != nil && e.cache != nil && codec != nil {
-		c.val, c.err, c.attempts, c.fromDisk = e.computeShared(c.cctx, rh, c.key, c.label, codec, compute)
-		if c.fromDisk && e.hooked(rh) {
-			e.fire(rh, Event{Kind: EventDiskHit, Key: c.key, Label: c.label, Start: start, Dur: time.Since(start), Err: errMsg(c.err)})
-		}
+		e.computeShared(c, rh, codec, compute)
 	} else {
-		c.val, c.err, c.attempts = e.run(c.cctx, rh, c.key, c.label, compute)
+		e.run(c, rh, compute)
 		e.diskStore(c.key, codec, c.val, c.err)
 	}
-	c.wall = time.Since(start)
+	if c.fromDisk && e.hooked(rh) {
+		e.fire(rh, Event{Kind: EventDiskHit, Key: c.key, Label: c.label, Start: start, Dur: time.Since(start), Err: errMsg(c.err)})
+	}
 
 	// Publish — or retire an aborted outcome so the key can be recomputed.
 	// Engine-wide cancellation is not an abort: those outcomes stay, and
@@ -427,30 +410,32 @@ func (e *Engine) publish(c *cell, rh Hook, codec *Codec, compute func(ctx contex
 	c.abort(nil) // release the cctx timer/child bookkeeping
 }
 
-// run executes compute under the engine's retry policy and returns the final
-// outcome and the number of attempts actually made. ctx is the cell's
-// compute context: the engine context plus the cell's abort.
-func (e *Engine) run(ctx context.Context, rh Hook, key, label string, compute func(ctx context.Context) (any, error)) (val any, err error, attempts int) {
+// run executes compute under the engine's retry policy in the cell's
+// compute context (the engine context plus the cell's abort), and records
+// on c the final outcome, the attempts actually made, and their summed
+// compute time.
+func (e *Engine) run(c *cell, rh Hook, compute func(ctx context.Context) (any, error)) {
+	ctx := c.cctx
 	for {
-		var t0 time.Time
+		val, err, t0 := e.attempt(ctx, c.label, compute)
+		d := time.Since(t0)
+		c.val, c.err = val, err
+		c.attempts++
+		c.wall += d
 		if e.hooked(rh) {
-			t0 = time.Now()
+			e.fire(rh, Event{Kind: EventCompute, Key: c.key, Label: c.label, Start: t0, Dur: d, Attempt: c.attempts, Err: errMsg(c.err)})
 		}
-		val, err = e.attempt(ctx, label, compute)
-		attempts++
-		if e.hooked(rh) {
-			e.fire(rh, Event{Kind: EventCompute, Key: key, Label: label, Start: t0, Dur: time.Since(t0), Attempt: attempts, Err: errMsg(err)})
-		}
-		if err == nil || !IsTransient(err) || attempts > e.pol.Retries {
-			return val, err, attempts
+		if c.err == nil || !IsTransient(c.err) || c.attempts > e.pol.Retries {
+			return
 		}
 		if e.hooked(rh) {
-			e.fire(rh, Event{Kind: EventRetry, Key: key, Label: label, Start: time.Now(), Attempt: attempts, Err: errMsg(err)})
+			e.fire(rh, Event{Kind: EventRetry, Key: c.key, Label: c.label, Start: time.Now(), Attempt: c.attempts, Err: errMsg(c.err)})
 		}
 		select {
-		case <-time.After(e.jitterBackoff(attempts - 1)):
+		case <-time.After(e.jitterBackoff(c.attempts - 1)):
 		case <-ctx.Done():
-			return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx)), attempts
+			c.val, c.err = nil, fmt.Errorf("cell %s: %w", c.label, context.Cause(ctx))
+			return
 		}
 	}
 }
@@ -460,13 +445,16 @@ func (e *Engine) run(ctx context.Context, rh Hook, key, label string, compute fu
 // recovery, and wait for the result or the per-cell deadline. The child
 // releases the slot when compute actually returns — a timed-out compute
 // keeps its slot until then, so the pool never runs more than jobs
-// simulations at once.
-func (e *Engine) attempt(ctx context.Context, label string, compute func(ctx context.Context) (any, error)) (any, error) {
+// simulations at once. start is when the slot was acquired (or when the
+// wait for one failed), so the time from start to return is the attempt's
+// compute time without its queue wait.
+func (e *Engine) attempt(ctx context.Context, label string, compute func(ctx context.Context) (any, error)) (val any, err error, start time.Time) {
 	select {
 	case e.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx))
+		return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx)), time.Now()
 	}
+	start = time.Now()
 
 	cancel := context.CancelFunc(func() {})
 	if e.pol.CellTimeout > 0 {
@@ -492,9 +480,9 @@ func (e *Engine) attempt(ctx context.Context, label string, compute func(ctx con
 
 	select {
 	case out := <-ch:
-		return out.val, out.err
+		return out.val, out.err, start
 	case <-ctx.Done():
-		return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx))
+		return nil, fmt.Errorf("cell %s: %w", label, context.Cause(ctx)), start
 	}
 }
 

@@ -25,7 +25,7 @@ func TestDoMemoizes(t *testing.T) {
 	e := New(2)
 	var calls atomic.Int64
 	for i := 0; i < 5; i++ {
-		v, err := e.Do("k", "k", func(context.Context) (any, error) { calls.Add(1); return 42, nil })
+		v, err := e.Do(context.Background(), "k", "k", nil, func(context.Context) (any, error) { calls.Add(1); return 42, nil })
 		if err != nil || v.(int) != 42 {
 			t.Fatalf("Do returned %v, %v", v, err)
 		}
@@ -49,7 +49,7 @@ func TestDoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := e.Do("slow", "slow", func(context.Context) (any, error) {
+			v, err := e.Do(context.Background(), "slow", "slow", nil, func(context.Context) (any, error) {
 				<-gate // hold the cell in flight until everyone has asked
 				calls.Add(1)
 				return "done", nil
@@ -96,7 +96,7 @@ func TestPanickingCellDoesNotDeadlock(t *testing.T) {
 			errs := make(chan error, requesters)
 			for i := 0; i < requesters; i++ {
 				go func() {
-					_, err := e.Do("bad", "bad cell", func(context.Context) (any, error) {
+					_, err := e.Do(context.Background(), "bad", "bad cell", nil, func(context.Context) (any, error) {
 						panic("boom: simulated cell bug")
 					})
 					errs <- err
@@ -119,7 +119,7 @@ func TestPanickingCellDoesNotDeadlock(t *testing.T) {
 			// Slot recovery: an unrelated cell must still run.
 			done := make(chan struct{})
 			go func() {
-				if v, err := e.Do("good", "good", ok(7)); err != nil || v.(int) != 7 {
+				if v, err := e.Do(context.Background(), "good", "good", nil, ok(7)); err != nil || v.(int) != 7 {
 					t.Errorf("follow-up cell: %v, %v", v, err)
 				}
 				close(done)
@@ -130,7 +130,7 @@ func TestPanickingCellDoesNotDeadlock(t *testing.T) {
 				t.Fatal("follow-up cell blocked: worker slot leaked by the panicking owner")
 			}
 			// The failure is memoized and visible in the report.
-			if _, err := e.Do("bad", "bad cell", ok(nil)); err == nil {
+			if _, err := e.Do(context.Background(), "bad", "bad cell", nil, ok(nil)); err == nil {
 				t.Fatal("re-request of the failed cell lost its error")
 			}
 			r := e.Report()
@@ -155,7 +155,7 @@ func TestCellError(t *testing.T) {
 	sentinel := errors.New("compute says no")
 	var calls atomic.Int64
 	for i := 0; i < 3; i++ {
-		_, err := e.Do("err", "err", func(context.Context) (any, error) {
+		_, err := e.Do(context.Background(), "err", "err", nil, func(context.Context) (any, error) {
 			calls.Add(1)
 			return nil, sentinel
 		})
@@ -173,7 +173,7 @@ func TestCellTimeout(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	start := time.Now()
-	_, err := e.Do("hang", "hang", func(context.Context) (any, error) {
+	_, err := e.Do(context.Background(), "hang", "hang", nil, func(context.Context) (any, error) {
 		<-release // a compute that never finishes on its own
 		return nil, nil
 	})
@@ -192,15 +192,15 @@ func TestEngineCancelUnblocksWaiters(t *testing.T) {
 	e := NewWithPolicy(context.Background(), 1, Policy{})
 	gate := make(chan struct{})
 	defer close(gate)
-	go e.Do("held", "held", func(context.Context) (any, error) { <-gate; return 1, nil })
+	go e.Do(context.Background(), "held", "held", nil, func(context.Context) (any, error) { <-gate; return 1, nil })
 	for e.Report().Unique != 1 {
 		runtime.Gosched()
 	}
 	// A waiter on the in-flight cell and a requester needing the (occupied)
 	// worker slot must both unblock on engine cancellation.
 	errs := make(chan error, 2)
-	go func() { _, err := e.Do("held", "held", ok(nil)); errs <- err }()
-	go func() { _, err := e.Do("other", "other", ok(nil)); errs <- err }()
+	go func() { _, err := e.Do(context.Background(), "held", "held", nil, ok(nil)); errs <- err }()
+	go func() { _, err := e.Do(context.Background(), "other", "other", nil, ok(nil)); errs <- err }()
 	cause := errors.New("operator abort")
 	time.AfterFunc(10*time.Millisecond, func() { e.Cancel(cause) })
 	for i := 0; i < 2; i++ {
@@ -218,7 +218,7 @@ func TestEngineCancelUnblocksWaiters(t *testing.T) {
 func TestTransientRetry(t *testing.T) {
 	e := NewWithPolicy(context.Background(), 1, Policy{Retries: 3, Backoff: time.Millisecond})
 	var calls atomic.Int64
-	v, err := e.Do("flaky", "flaky", func(context.Context) (any, error) {
+	v, err := e.Do(context.Background(), "flaky", "flaky", nil, func(context.Context) (any, error) {
 		if calls.Add(1) < 3 {
 			return nil, Transient(errors.New("try again"))
 		}
@@ -237,7 +237,7 @@ func TestTransientRetry(t *testing.T) {
 
 	// A persistent transient error exhausts the budget and caches the error.
 	var persist atomic.Int64
-	_, err = e.Do("stillflaky", "stillflaky", func(context.Context) (any, error) {
+	_, err = e.Do(context.Background(), "stillflaky", "stillflaky", nil, func(context.Context) (any, error) {
 		persist.Add(1)
 		return nil, Transient(errors.New("never better"))
 	})
@@ -247,7 +247,7 @@ func TestTransientRetry(t *testing.T) {
 
 	// Non-transient errors are never retried.
 	var hard atomic.Int64
-	e.Do("hard", "hard", func(context.Context) (any, error) {
+	e.Do(context.Background(), "hard", "hard", nil, func(context.Context) (any, error) {
 		hard.Add(1)
 		return nil, errors.New("deterministic failure")
 	})
@@ -279,7 +279,7 @@ func TestReportConcurrentWithWarm(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		key := string(rune('a'+i%26)) + string(rune('0'+i/26))
 		fns = append(fns, func() {
-			e.Do(key, key, func(context.Context) (any, error) {
+			e.Do(context.Background(), key, key, nil, func(context.Context) (any, error) {
 				time.Sleep(time.Millisecond)
 				return key, nil
 			})
@@ -360,15 +360,60 @@ func TestMeshPlanKeyNormalization(t *testing.T) {
 
 func TestReportHitRate(t *testing.T) {
 	e := New(1)
-	e.Do("a", "a", ok(1))
-	e.Do("a", "a", ok(1))
-	e.Do("b", "b", ok(2))
+	e.Do(context.Background(), "a", "a", nil, ok(1))
+	e.Do(context.Background(), "a", "a", nil, ok(1))
+	e.Do(context.Background(), "b", "b", nil, ok(2))
 	r := e.Report()
 	if got, want := r.HitRate(), 1.0/3.0; got != want {
 		t.Fatalf("HitRate = %v, want %v", got, want)
 	}
 	if tb := r.Table(); len(tb.Rows) != 4+r.Unique {
 		t.Fatalf("report table has %d rows, want %d", len(tb.Rows), 4+r.Unique)
+	}
+}
+
+// TestReportWallExcludesQueueWait pins CellStat.Wall and the compute event's
+// span to compute time: on a one-slot engine, the second of two concurrent
+// cells waits ~50ms for the slot, and that wait must not count as compute.
+func TestReportWallExcludesQueueWait(t *testing.T) {
+	e := New(1)
+	var (
+		mu    sync.Mutex
+		spans []time.Duration
+	)
+	e.SetHook(func(ev Event) {
+		if ev.Kind == EventCompute {
+			mu.Lock()
+			spans = append(spans, ev.Dur)
+			mu.Unlock()
+		}
+	})
+	sleep := func(context.Context) (any, error) { time.Sleep(50 * time.Millisecond); return 1, nil }
+	var wg sync.WaitGroup
+	for _, k := range []string{"a", "b"} {
+		wg.Add(1)
+		go func(k string) {
+			defer wg.Done()
+			e.Do(context.Background(), k, k, nil, sleep)
+		}(k)
+	}
+	wg.Wait()
+	r := e.Report()
+	if len(r.Cells) != 2 {
+		t.Fatalf("report has %d cells, want 2", len(r.Cells))
+	}
+	for _, c := range r.Cells {
+		if c.Wall < 50*time.Millisecond || c.Wall >= 90*time.Millisecond {
+			t.Errorf("cell %s: Wall = %v, want [50ms, 90ms): the compute without its slot wait", c.Label, c.Wall)
+		}
+	}
+	if len(spans) != 2 {
+		t.Fatalf("%d compute events, want 2", len(spans))
+	}
+	for _, d := range spans {
+		if d >= 90*time.Millisecond {
+			t.Errorf("compute span = %v, want < 90ms: the span must start at slot acquisition", d)
+		}
 	}
 }
 

@@ -2,9 +2,9 @@
 // `o2kbench serve` (DESIGN.md §5.11): an HTTP/JSON front end over the same
 // engine, registry, disk cache, and lease machinery the one-shot CLI uses.
 // Many concurrent clients share one memoized cell map — N identical
-// submissions cost one simulation — and a fleet of daemons or `-workers`
-// processes sharing a cache directory coordinates through the existing
-// lease files, so each cold cell is computed exactly once machine-wide.
+// submissions cost one simulation — and daemons or CLI runs that share a
+// cache directory with leases on coordinate through per-cell lease files,
+// so each cold persisted cell is computed once per cache directory.
 //
 // The API, under /v1:
 //

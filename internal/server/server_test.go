@@ -72,7 +72,7 @@ func init() {
 			blockMu.Lock()
 			gate, started := blockGate, blockStarted
 			blockMu.Unlock()
-			v, err := e.DoCtx(ctx, "test-block-cell", "test-block", func(cctx context.Context) (any, error) {
+			v, err := e.Do(ctx, "test-block-cell", "test-block", nil, func(cctx context.Context) (any, error) {
 				blockMu.Lock()
 				blockCount++
 				blockMu.Unlock()
@@ -468,18 +468,18 @@ func TestTwoServersSharingCacheComputeEachCellOnce(t *testing.T) {
 			countMu.Unlock()
 		}
 	}
-	mk := func(shard int) *httptest.Server {
+	mk := func() *httptest.Server {
 		dc, err := diskcache.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng := runner.New(4)
 		eng.SetCache(dc)
-		eng.SetLeases(lease.New(lease.Config{Dir: dir, Shard: shard, Shards: 2}))
+		eng.SetLeases(lease.New(lease.Config{Dir: dir}))
 		ts, _, _ := newTestServer(t, Config{Engine: eng, Cache: dc, Hook: countHook})
 		return ts
 	}
-	a, b := mk(0), mk(1)
+	a, b := mk(), mk()
 
 	type out struct {
 		code int
@@ -522,7 +522,7 @@ func TestTwoServersSharingCacheComputeEachCellOnce(t *testing.T) {
 		}
 		persisted++
 		if n != 1 {
-			t.Errorf("cell %s computed %d times across the fleet, want exactly 1", key, n)
+			t.Errorf("cell %s computed %d times across the two daemons, want exactly 1", key, n)
 		}
 	}
 	if persisted == 0 {

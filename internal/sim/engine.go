@@ -93,9 +93,9 @@ func preferRootCause(pp, first *ProcPanic) bool {
 // The gang's worker goroutines are created lazily on the first Run and
 // persist across Run calls: experiments invoke Run once per adaptation cycle
 // or time step, and respawning P goroutines per region was measurable
-// scheduler churn. The workers hold no reference to the Group itself — only
+// scheduler churn. These goroutines hold no reference to the Group itself — only
 // to their Proc and channels — so an abandoned Group is collected normally;
-// a runtime cleanup closes the work channels and the workers exit.
+// a runtime cleanup closes the work channels and the goroutines exit.
 type goroutineEngine struct{}
 
 // GoroutineEngine returns the goroutine-per-proc gang engine.
