@@ -3,15 +3,17 @@ package numa
 import (
 	"fmt"
 	mbits "math/bits"
+	"sync/atomic"
 	"unsafe"
 
 	"o2k/internal/sim"
 )
 
-// Array is a typed, placement-aware memory region. Elements live in an
-// ordinary Go slice (Data), so applications compute real results; Load,
-// Store, and Touch* additionally charge virtual time to the accessing
-// processor according to the cache simulator and the touched page's home.
+// Array is a typed, placement-aware memory region. Elements live in host
+// pages allocated on first store (pages.go), so applications compute real
+// results; Load, Store, and Touch* additionally charge virtual time to the
+// accessing processor according to the cache simulator and the touched
+// page's home.
 //
 // Two kinds exist:
 //
@@ -31,7 +33,6 @@ import (
 // tests enforce this for the applications in this repository.
 type Array[T any] struct {
 	sp       *Space
-	data     []T
 	elemSize uint64
 	base     uint64 // byte address of element 0 (page aligned)
 	baseLine uint64
@@ -61,6 +62,16 @@ type Array[T any] struct {
 	// tags arrays are large enough to miss in the host cache; this 16-byte
 	// slot stays hot. Never consulted or written on the reference path.
 	last []lastRef
+
+	// Host backing (pages.go): n elements in a two-level page table whose
+	// untouched slots alias the read-only zero directory and page, and per
+	// processor a cache over it for Load, Store and the batch helpers.
+	hot   []*pageCache[T]
+	n     int
+	dirs  []atomic.Pointer[pageDir[T]]
+	zdir  *pageDir[T]
+	zpage *hostPage[T]
+	pool  *pagePool[T]
 
 	// Epoch write-sets (shared arrays only).
 	writeLines [][]uint32 // per proc: line indices written this epoch
@@ -134,7 +145,6 @@ func newArray[T any](sp *Space, n int) *Array[T] {
 	pageShift := uint(mbits.TrailingZeros64(pb))
 	a := &Array[T]{
 		sp:           sp,
-		data:         allocData[T](sp, es, n),
 		elemSize:     es,
 		base:         base,
 		baseLine:     base >> lineShift,
@@ -149,45 +159,20 @@ func newArray[T any](sp *Space, n int) *Array[T] {
 		nodes:        sp.M.Nodes(),
 		last:         make([]lastRef, sp.M.Procs()),
 	}
-	sp.addAlloc(int(bytes))
+	a.initPages(n, sp.M.Procs())
 	return a
 }
 
-// poolMinElems is the smallest allocation worth pooling/rounding: tiny arrays
-// are cheap to allocate and would pollute the reuse buckets.
-const poolMinElems = 1024
-
-// allocData hands out the host backing slice for a new array: a recycled
-// slice from the space's pool when one fits (re-zeroed, so semantically a
-// fresh make), else a fresh allocation. Large allocations round the host
-// capacity up to a power of two so a later, slightly larger array can reuse
-// the slice once released — adaptive workloads grow their arrays cycle over
-// cycle, and exact-fit pooling would never hit. Only host memory is affected:
-// simulated addresses always come fresh from Space.reserve.
-func allocData[T any](sp *Space, es uint64, n int) []T {
-	if n < poolMinElems {
-		return make([]T, n)
-	}
-	if sl := takePool[T](sp, es, n); sl != nil {
-		return sl
-	}
-	c := poolMinElems
-	for c < n {
-		c <<= 1
-	}
-	return make([]T, n, c)
-}
-
-// Release returns a's host backing store to its Space's reuse pool and
-// detaches the array; any later costed access panics on the nil data slice.
+// Release hands a's host pages to its Space's free list and detaches the
+// array; any later access panics.
 // Only call it when no simulated code can touch the array again (the arrays
 // of a finished adaptation cycle, once the next cycle's remap has read them).
 // Shared arrays are also dropped from the coherence-merge roster; their
 // write-sets must be empty, i.e. a merge has run since the last write.
-// AllocBytes is NOT decremented: the simulated program never freed anything,
-// the host merely reuses memory — so the model cannot observe a Release.
+// Simulated addresses are never reused, so the model cannot observe a
+// Release: only host memory is recycled.
 func Release[T any](a *Array[T]) {
-	if a == nil || a.data == nil {
+	if a == nil || a.dirs == nil {
 		return
 	}
 	if a.shared {
@@ -198,21 +183,14 @@ func Release[T any](a *Array[T]) {
 		}
 		a.sp.unregisterShared(a)
 	}
-	if cap(a.data) >= poolMinElems {
-		a.sp.putPool(a.elemSize, a.data[:0])
-	}
-	a.data = nil
+	a.releasePages()
 }
 
 // Len returns the element count.
-func (a *Array[T]) Len() int { return len(a.data) }
+func (a *Array[T]) Len() int { return a.n }
 
 // Bytes returns the allocation size in bytes.
-func (a *Array[T]) Bytes() int { return int(a.elemSize) * len(a.data) }
-
-// Data exposes the backing slice for bulk computation. Accesses through Data
-// are not costed; pair them with Touch/TouchRange, or prefer Load/Store.
-func (a *Array[T]) Data() []T { return a.data }
+func (a *Array[T]) Bytes() int { return int(a.elemSize) * a.n }
 
 // --- Placement -------------------------------------------------------------
 
@@ -237,7 +215,7 @@ func (a *Array[T]) PlaceInterleave() {
 // covering elements [k*n/P, (k+1)*n/P).
 func (a *Array[T]) PlaceBlock() {
 	a.PlaceByElem(func(i int) int {
-		return i * a.sp.M.Procs() / max(len(a.data), 1)
+		return i * a.sp.M.Procs() / max(a.n, 1)
 	})
 }
 
@@ -248,8 +226,8 @@ func (a *Array[T]) PlaceByElem(ownerOf func(elem int) int) {
 	pb := uint64(a.sp.M.Cfg.PageBytes)
 	for pg := range a.pageHome {
 		elem := int(uint64(pg) * pb / a.elemSize)
-		if elem >= len(a.data) {
-			elem = len(a.data) - 1
+		if elem >= a.n {
+			elem = a.n - 1
 		}
 		if elem < 0 {
 			elem = 0
@@ -268,8 +246,8 @@ func (a *Array[T]) RehomeByElem(ownerOf func(elem int) int) (moved int) {
 	pb := uint64(a.sp.M.Cfg.PageBytes)
 	for pg := range a.pageHome {
 		elem := int(uint64(pg) * pb / a.elemSize)
-		if elem >= len(a.data) {
-			elem = len(a.data) - 1
+		if elem >= a.n {
+			elem = a.n - 1
 		}
 		if elem < 0 {
 			elem = 0
@@ -421,7 +399,7 @@ func (a *Array[T]) recordWriteRange(me int, l0, l1 uint32) {
 }
 
 func (a *Array[T]) lines() int {
-	return int((a.elemSize*uint64(len(a.data)) + uint64(a.sp.M.Cfg.LineBytes) - 1) / uint64(a.sp.M.Cfg.LineBytes))
+	return int((a.elemSize*uint64(a.n) + uint64(a.sp.M.Cfg.LineBytes) - 1) / uint64(a.sp.M.Cfg.LineBytes))
 }
 
 // Load returns element i, charging the access to p. The charge fast paths
@@ -435,17 +413,18 @@ func (a *Array[T]) Load(p *sim.Proc, i int) T {
 	if lr.line == gl+1 && lr.gen == c.gen {
 		p.CacheHits++
 		p.Advance(a.cacheHitNS)
-		return a.data[i]
-	}
-	base := c.setBase(gl)
-	if refModel || !c.mruHit(base, gl) {
+	} else if base := c.setBase(gl); refModel || !c.mruHit(base, gl) {
 		a.chargeSlow(p, c, base, gl, li, false)
 	} else {
 		p.CacheHits++
 		p.Advance(a.cacheHitNS)
 		lr.line, lr.gen = gl+1, c.gen
 	}
-	return a.data[i]
+	pc := a.cache(me)
+	if q := pc.hit(a, i); q != nil {
+		return *q
+	}
+	return pc.get(a, i)
 }
 
 // Store writes element i, charging the access to p; fast paths as in Load
@@ -459,22 +438,22 @@ func (a *Array[T]) Store(p *sim.Proc, i int, v T) {
 	if !a.shared && lr.line == gl+1 && lr.gen == c.gen {
 		p.CacheHits++
 		p.Advance(a.cacheHitNS)
-		a.data[i] = v
-		return
-	}
-	base := c.setBase(gl)
-	if a.shared || refModel || !c.mruHit(base, gl) {
+	} else if base := c.setBase(gl); a.shared || refModel || !c.mruHit(base, gl) {
 		a.chargeSlow(p, c, base, gl, li, true)
 	} else {
 		p.CacheHits++
 		p.Advance(a.cacheHitNS)
 		lr.line, lr.gen = gl+1, c.gen
 	}
-	a.data[i] = v
+	pc := a.cache(me)
+	if q := pc.hit(a, i); q != nil {
+		*q = v
+		return
+	}
+	*pc.ref(a, i) = v
 }
 
-// Touch charges a read (or write) of element i without moving data; use when
-// computing directly on Data.
+// Touch charges a read (or write) of element i without moving data.
 func (a *Array[T]) Touch(p *sim.Proc, i int, write bool) {
 	a.charge(p, a.lineOf(i), write)
 }
@@ -534,8 +513,14 @@ func (a *Array[T]) TouchRange(p *sim.Proc, lo, hi int, write bool) {
 // Fill stores v into [lo, hi), charging one event per line.
 func (a *Array[T]) Fill(p *sim.Proc, lo, hi int, v T) {
 	a.TouchRange(p, lo, hi, true)
-	for i := lo; i < hi; i++ {
-		a.data[i] = v
+	for i := lo; i < hi; {
+		pg := a.page(i)
+		e := min(hi-i, pageElems-i&pageMask)
+		s := pg[i&pageMask:][:e]
+		for k := range s {
+			s[k] = v
+		}
+		i += e
 	}
 }
 

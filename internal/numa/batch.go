@@ -86,13 +86,14 @@ func (a *Array[T]) GatherIdx(p *sim.Proc, idx []int32, out []T) {
 	if refModel {
 		for k, ix := range idx {
 			a.chargeRef(p, a.lineOf(int(ix)), false)
-			out[k] = a.data[ix]
+			out[k] = a.at(int(ix))
 		}
 		return
 	}
 	me := p.ID()
 	c := a.caches[me]
 	lr := &a.last[me]
+	pc := a.cache(me)
 	var lat sim.Time
 	var hits uint64
 	for k, ix := range idx {
@@ -109,7 +110,7 @@ func (a *Array[T]) GatherIdx(p *sim.Proc, idx []int32, out []T) {
 		} else {
 			lat += a.chargeSlowAcc(p, c, base, gl, li, false)
 		}
-		out[k] = a.data[i]
+		out[k] = pc.get(a, i)
 	}
 	p.CacheHits += hits
 	p.Advance(lat)
@@ -127,13 +128,14 @@ func (a *Array[T]) ScatterIdx(p *sim.Proc, idx []int32, vals []T) {
 	if refModel {
 		for k, ix := range idx {
 			a.chargeRef(p, a.lineOf(int(ix)), true)
-			a.data[ix] = vals[k]
+			*a.ref(int(ix)) = vals[k]
 		}
 		return
 	}
 	me := p.ID()
 	c := a.caches[me]
 	lr := &a.last[me]
+	pc := a.cache(me)
 	var lat sim.Time
 	var hits uint64
 	for k, ix := range idx {
@@ -150,7 +152,7 @@ func (a *Array[T]) ScatterIdx(p *sim.Proc, idx []int32, vals []T) {
 		} else {
 			lat += a.chargeSlowAcc(p, c, base, gl, li, true)
 		}
-		a.data[i] = vals[k]
+		*pc.ref(a, i) = vals[k]
 	}
 	p.CacheHits += hits
 	p.Advance(lat)
@@ -165,13 +167,14 @@ func (a *Array[T]) FillIdx(p *sim.Proc, idx []int32, v T) {
 	if refModel {
 		for _, ix := range idx {
 			a.chargeRef(p, a.lineOf(int(ix)), true)
-			a.data[ix] = v
+			*a.ref(int(ix)) = v
 		}
 		return
 	}
 	me := p.ID()
 	c := a.caches[me]
 	lr := &a.last[me]
+	pc := a.cache(me)
 	var lat sim.Time
 	var hits uint64
 	for _, ix := range idx {
@@ -188,7 +191,7 @@ func (a *Array[T]) FillIdx(p *sim.Proc, idx []int32, v T) {
 		} else {
 			lat += a.chargeSlowAcc(p, c, base, gl, li, true)
 		}
-		a.data[i] = v
+		*pc.ref(a, i) = v
 	}
 	p.CacheHits += hits
 	p.Advance(lat)
@@ -206,18 +209,19 @@ func AddIdx[T Num](p *sim.Proc, a *Array[T], idx []int32, vals []T) {
 			li := a.lineOf(int(ix))
 			a.chargeRef(p, li, false)
 			a.chargeRef(p, li, true)
-			a.data[ix] += vals[k]
+			*a.ref(int(ix)) += vals[k]
 		}
 		return
 	}
 	me := p.ID()
 	c := a.caches[me]
+	pc := a.cache(me)
 	var lat sim.Time
 	for k, ix := range idx {
 		li := a.lineOf(int(ix))
 		a.chargeAcc(p, c, li, false, &lat)
 		a.chargeAcc(p, c, li, true, &lat)
-		a.data[ix] += vals[k]
+		*pc.ref(a, int(ix)) += vals[k]
 	}
 	p.Advance(lat)
 }
@@ -236,19 +240,20 @@ func AddGather[T Num](p *sim.Proc, dst *Array[T], idx []int32, src *Array[T], sr
 			dst.chargeRef(p, li, false)
 			src.chargeRef(p, src.lineOf(srcOff+k), false)
 			dst.chargeRef(p, li, true)
-			dst.data[ix] += src.data[srcOff+k]
+			*dst.ref(int(ix)) += src.at(srcOff + k)
 		}
 		return
 	}
 	me := p.ID()
 	c := dst.caches[me]
+	dpc, spc := dst.cache(me), src.cache(me)
 	var lat sim.Time
 	for k, ix := range idx {
 		li := dst.lineOf(int(ix))
 		dst.chargeAcc(p, c, li, false, &lat)
 		src.chargeAcc(p, c, src.lineOf(srcOff+k), false, &lat)
 		dst.chargeAcc(p, c, li, true, &lat)
-		dst.data[ix] += src.data[srcOff+k]
+		*dpc.ref(dst, int(ix)) += spc.get(src, srcOff+k)
 	}
 	p.Advance(lat)
 }
@@ -264,17 +269,18 @@ func PackIdx[T any](p *sim.Proc, dst *Array[T], dstOff int, src *Array[T], idx [
 		for k, ix := range idx {
 			src.chargeRef(p, src.lineOf(int(ix)), false)
 			dst.chargeRef(p, dst.lineOf(dstOff+k), true)
-			dst.data[dstOff+k] = src.data[ix]
+			*dst.ref(dstOff + k) = src.at(int(ix))
 		}
 		return
 	}
 	me := p.ID()
 	c := dst.caches[me]
+	dpc, spc := dst.cache(me), src.cache(me)
 	var lat sim.Time
 	for k, ix := range idx {
 		src.chargeAcc(p, c, src.lineOf(int(ix)), false, &lat)
 		dst.chargeAcc(p, c, dst.lineOf(dstOff+k), true, &lat)
-		dst.data[dstOff+k] = src.data[ix]
+		*dpc.ref(dst, dstOff+k) = spc.get(src, int(ix))
 	}
 	p.Advance(lat)
 }
@@ -292,7 +298,7 @@ func GatherFields[T any](p *sim.Proc, srcs []*Array[T], idx []int32, out []T) {
 		for k, ix := range idx {
 			for f, a := range srcs {
 				a.chargeRef(p, a.lineOf(int(ix)), false)
-				out[nf*k+f] = a.data[ix]
+				out[nf*k+f] = a.at(int(ix))
 			}
 		}
 		return
@@ -304,7 +310,7 @@ func GatherFields[T any](p *sim.Proc, srcs []*Array[T], idx []int32, out []T) {
 		i := int(ix)
 		for f, a := range srcs {
 			a.chargeAcc(p, c, a.lineOf(i), false, &lat)
-			out[nf*k+f] = a.data[i]
+			out[nf*k+f] = a.cache(me).get(a, i)
 		}
 	}
 	p.Advance(lat)
@@ -321,7 +327,7 @@ func ScatterFields[T any](p *sim.Proc, dsts []*Array[T], idx []int32, vals []T) 
 		for k, ix := range idx {
 			for f, a := range dsts {
 				a.chargeRef(p, a.lineOf(int(ix)), true)
-				a.data[ix] = vals[nf*k+f]
+				*a.ref(int(ix)) = vals[nf*k+f]
 			}
 		}
 		return
@@ -333,7 +339,7 @@ func ScatterFields[T any](p *sim.Proc, dsts []*Array[T], idx []int32, vals []T) 
 		i := int(ix)
 		for f, a := range dsts {
 			a.chargeAcc(p, c, a.lineOf(i), true, &lat)
-			a.data[i] = vals[nf*k+f]
+			*a.cache(me).ref(a, i) = vals[nf*k+f]
 		}
 	}
 	p.Advance(lat)
@@ -353,7 +359,7 @@ func CopyFields[T any](p *sim.Proc, dsts, srcs []*Array[T], idx []int32) {
 				d := dsts[f]
 				s.chargeRef(p, s.lineOf(int(ix)), false)
 				d.chargeRef(p, d.lineOf(int(ix)), true)
-				d.data[ix] = s.data[ix]
+				*d.ref(int(ix)) = s.at(int(ix))
 			}
 		}
 		return
@@ -367,7 +373,7 @@ func CopyFields[T any](p *sim.Proc, dsts, srcs []*Array[T], idx []int32) {
 			d := dsts[f]
 			s.chargeAcc(p, c, s.lineOf(i), false, &lat)
 			d.chargeAcc(p, c, d.lineOf(i), true, &lat)
-			d.data[i] = s.data[i]
+			*d.cache(me).ref(d, i) = s.cache(me).get(s, i)
 		}
 	}
 	p.Advance(lat)
@@ -384,20 +390,21 @@ func UnpackFields[T any](p *sim.Proc, src *Array[T], srcOff int, dsts []*Array[T
 			for f, a := range dsts {
 				src.chargeRef(p, src.lineOf(srcOff+nf*k+f), false)
 				a.chargeRef(p, a.lineOf(int(ix)), true)
-				a.data[ix] = src.data[srcOff+nf*k+f]
+				*a.ref(int(ix)) = src.at(srcOff + nf*k + f)
 			}
 		}
 		return
 	}
 	me := p.ID()
 	c := src.caches[me]
+	spc := src.cache(me)
 	var lat sim.Time
 	for k, ix := range idx {
 		i := int(ix)
 		for f, a := range dsts {
 			src.chargeAcc(p, c, src.lineOf(srcOff+nf*k+f), false, &lat)
 			a.chargeAcc(p, c, a.lineOf(i), true, &lat)
-			a.data[i] = src.data[srcOff+nf*k+f]
+			*a.cache(me).ref(a, i) = spc.get(src, srcOff+nf*k+f)
 		}
 	}
 	p.Advance(lat)
@@ -409,7 +416,7 @@ func (a *Array[T]) Store3At(p *sim.Proc, i int, v0, v1, v2 T) {
 		a.chargeRef(p, a.lineOf(i), true)
 		a.chargeRef(p, a.lineOf(i+1), true)
 		a.chargeRef(p, a.lineOf(i+2), true)
-		a.data[i], a.data[i+1], a.data[i+2] = v0, v1, v2
+		*a.ref(i), *a.ref(i + 1), *a.ref(i + 2) = v0, v1, v2
 		return
 	}
 	c := a.caches[p.ID()]
@@ -418,7 +425,8 @@ func (a *Array[T]) Store3At(p *sim.Proc, i int, v0, v1, v2 T) {
 	a.chargeAcc(p, c, a.lineOf(i+1), true, &lat)
 	a.chargeAcc(p, c, a.lineOf(i+2), true, &lat)
 	p.Advance(lat)
-	a.data[i], a.data[i+1], a.data[i+2] = v0, v1, v2
+	pc := a.cache(p.ID())
+	*pc.ref(a, i), *pc.ref(a, i+1), *pc.ref(a, i+2) = v0, v1, v2
 }
 
 // StoreRange copies vals into elements [lo, lo+len(vals)), charging every
@@ -428,7 +436,7 @@ func (a *Array[T]) Store3At(p *sim.Proc, i int, v0, v1, v2 T) {
 // arithmetically — the TouchRange machinery applied to per-element semantics.
 func (a *Array[T]) StoreRange(p *sim.Proc, lo int, vals []T) {
 	a.storeCharge(p, lo, lo+len(vals))
-	copy(a.data[lo:lo+len(vals)], vals)
+	a.PokeRange(lo, vals)
 }
 
 // storeCharge charges one write access per element of [lo, hi) — unlike

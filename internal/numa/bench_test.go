@@ -1,6 +1,7 @@
 package numa
 
 import (
+	"math/rand"
 	"testing"
 
 	"o2k/internal/sim"
@@ -143,4 +144,38 @@ func BenchmarkMergeEpochWide(b *testing.B) {
 		b.StartTimer()
 		sp.MergeEpoch()
 	}
+}
+
+// BenchmarkCursorEdgeLoop runs the adaptive mesh's edge-flux loop shape over
+// written arrays: per edge, load both endpoints of one array, then
+// read-modify-write both endpoints of another. Endpoints are near each other
+// in index space, as in a partitioned mesh, but rarely on the same line.
+func BenchmarkCursorEdgeLoop(b *testing.B) {
+	sp, _ := space(1)
+	g := sim.NewGroup(1)
+	const n = 1 << 16
+	u := NewPrivate[float64](sp, 0, n)
+	acc := NewPrivate[float64](sp, 0, n)
+	p := g.Proc(0)
+	for i := 0; i < n; i++ {
+		u.Store(p, i, float64(i))
+		acc.Store(p, i, 0)
+	}
+	rng := rand.New(rand.NewSource(1))
+	edges := make([][2]int, 4096)
+	for k := range edges {
+		a := rng.Intn(n - 512)
+		edges[k] = [2]int{a, a + 1 + rng.Intn(511)}
+	}
+	cu, ca := u.Cursor(p), acc.Cursor(p)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := edges[i&(len(edges)-1)]
+		f := cu.Load(e[0]) - cu.Load(e[1])
+		ca.Store(e[0], ca.Load(e[0])+f)
+		ca.Store(e[1], ca.Load(e[1])-f)
+	}
+	b.StopTimer()
+	cu.Flush()
+	ca.Flush()
 }

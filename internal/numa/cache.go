@@ -2,9 +2,10 @@
 // memory with page-granularity placement, per-processor caches, and a
 // deterministic release-consistency coherence model.
 //
-// Data lives in ordinary Go slices (so applications compute real results);
-// the package's job is to charge virtual time for every access according to
-// where the touched page is homed and whether the line is cached. Coherence
+// Data lives in ordinary Go memory (the host pages of pages.go), so
+// applications compute real results; the package's job is to charge virtual
+// time for every access according to where the touched page is homed and
+// whether the line is cached. Coherence
 // is resolved at synchronization points: each shared array records the cache
 // lines written per processor during an epoch, and at a barrier (or lock
 // hand-off) those write-sets invalidate the line in every other processor's
@@ -44,7 +45,7 @@ var zeroChunk [chunkSlots]uint32
 
 // cache is a set-associative, line-tagged cache simulator with LRU
 // replacement. It tracks only tags (presence), not data — data correctness
-// is handled by the real Go slices. A cache is owned by exactly one
+// is handled by the arrays' host pages. A cache is owned by exactly one
 // processor; the coherence merge touches it only while that processor is
 // blocked at a barrier.
 // A tag is uint32(line)+1 (0 = invalid): global line indices are bounded by

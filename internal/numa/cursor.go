@@ -1,6 +1,10 @@
 package numa
 
-import "o2k/internal/sim"
+import (
+	"unsafe"
+
+	"o2k/internal/sim"
+)
 
 // Cursor is a bound accessor: Array, processor, and cache resolved once, with
 // the per-access virtual latency accumulated locally and charged by a single
@@ -25,15 +29,23 @@ type Cursor[T any] struct {
 	p    *sim.Proc
 	c    *cache
 	me   int
+	lr   *lastRef // &a.last[me]
 	lat  sim.Time
 	hits uint64
+
+	pc pageCache[T]
+
+	// walk is the page-cache entry LoadMiss last read through: TryLoad and
+	// TryProbe read through it alone, as a page-cache lookup would not
+	// inline.
+	walk tlbEntry[T]
 }
 
 // Cursor binds a to p. The returned value is cheap to create per loop; do not
 // share it across procs.
 func (a *Array[T]) Cursor(p *sim.Proc) Cursor[T] {
 	me := p.ID()
-	return Cursor[T]{a: a, p: p, c: a.caches[me], me: me}
+	return Cursor[T]{a: a, p: p, c: a.caches[me], me: me, lr: &a.last[me]}
 }
 
 // Load reads element i through the cursor; identical charging to Array.Load
@@ -41,32 +53,36 @@ func (a *Array[T]) Cursor(p *sim.Proc) Cursor[T] {
 func (cu *Cursor[T]) Load(i int) T {
 	a := cu.a
 	gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
-	lr := &a.last[cu.me]
+	lr := cu.lr
 	if lr.line == gl+1 && lr.gen == cu.c.gen {
 		cu.hits++
 		cu.lat += a.cacheHitNS
-		return a.data[i]
+		if q := cu.pc.hit(a, i); q != nil {
+			return *q
+		}
+		return cu.pc.get(a, i)
 	}
 	return cu.loadSlow(i, gl)
 }
 
 // TryLoad is the inlinable fast path of Load: it returns (value, true) iff
-// element i hits the per-proc MRU memo, charging exactly like Load's fast
-// path. On false it charges nothing; the caller completes the access with
-// LoadMiss(i). Load itself cannot inline (its slow-path call alone busts the
-// inliner's budget), so the hottest inner loops — the tree walk — use this
-// pair to keep the fast path call-free.
-func (cu *Cursor[T]) TryLoad(i int) (T, bool) {
+// element i hits the per-proc MRU memo and lies on the page LoadMiss last
+// read, charging exactly like Load's fast path. On false it charges nothing;
+// the caller completes the access with LoadMiss(i), which charges a line
+// memo hit identically (the memo line is MRU by construction). Load itself
+// cannot inline (its slow-path call alone busts the inliner's budget), so
+// the hottest inner loops — the tree walk — use this pair to keep the fast
+// path call-free.
+func (cu *Cursor[T]) TryLoad(i int) (v T, ok bool) {
 	a := cu.a
 	gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
-	lr := &a.last[cu.me]
-	if lr.line == gl+1 && lr.gen == cu.c.gen {
+	lr := cu.lr
+	if cu.walk.key == i>>pageLog+1 && lr.line == gl+1 && lr.gen == cu.c.gen {
 		cu.hits++
 		cu.lat += a.cacheHitNS
-		return a.data[i], true
+		v, ok = cu.walk.pg[i&pageMask], true
 	}
-	var zero T
-	return zero, false
+	return v, ok
 }
 
 // TryProbe is the second inlinable stage of a cursor load: after TryLoad
@@ -74,11 +90,11 @@ func (cu *Cursor[T]) TryLoad(i int) (T, bool) {
 // overwhelmingly common outcome in replayed loops like the tree walk, where
 // a line transition leaves the target line still MRU from the previous
 // body's traversal. A hit charges and refreshes the memo exactly like
-// loadSlow's probe branch. On false (not MRU, or reference model) the caller
-// completes the access with LoadMiss(i).
+// loadSlow's probe branch. On false (not MRU, off TryLoad's page, or
+// reference model) the caller completes the access with LoadMiss(i).
 func (cu *Cursor[T]) TryProbe(i int) (T, bool) {
 	var zero T
-	if refModel {
+	if refModel || cu.walk.key != i>>pageLog+1 {
 		return zero, false
 	}
 	a := cu.a
@@ -88,8 +104,8 @@ func (cu *Cursor[T]) TryProbe(i int) (T, bool) {
 	if c.mruHit(base, gl) {
 		cu.hits++
 		cu.lat += a.cacheHitNS
-		a.last[cu.me] = lastRef{gl + 1, c.gen}
-		return a.data[i], true
+		*cu.lr = lastRef{gl + 1, c.gen}
+		return cu.walk.pg[i&pageMask], true
 	}
 	return zero, false
 }
@@ -102,7 +118,7 @@ func (cu *Cursor[T]) TryProbe(i int) (T, bool) {
 func (cu *Cursor[T]) TryTouch(i int) bool {
 	a := cu.a
 	gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
-	lr := &a.last[cu.me]
+	lr := cu.lr
 	if lr.line == gl+1 && lr.gen == cu.c.gen {
 		cu.hits++
 		cu.lat += a.cacheHitNS
@@ -124,7 +140,7 @@ func (cu *Cursor[T]) TouchMiss(i int) {
 	if cu.c.mruHit(base, gl) {
 		cu.hits++
 		cu.lat += a.cacheHitNS
-		a.last[cu.me] = lastRef{gl + 1, cu.c.gen}
+		*cu.lr = lastRef{gl + 1, cu.c.gen}
 	} else {
 		cu.lat += a.chargeSlowAcc(cu.p, cu.c, base, gl, a.lineOf(i), false)
 	}
@@ -139,9 +155,17 @@ func (cu *Cursor[T]) TouchMiss(i int) {
 // memo in Array.last remembers only one line per array; loops that cycle
 // through several lines of one array each iteration (the up/down/row arms of
 // a 5-point stencil) thrash it, and a per-arm memo restores the hit rate.
+//
+// For the same reason an arm remembers its stream's host page: the rows a
+// stencil's arms walk lie a fixed stride apart, which can map them all to
+// one entry of the cursor's direct-mapped page cache.
 type Arm struct {
 	line uint64 // global line address + 1 (0 = never set)
 	gen  uint64
+
+	arr   unsafe.Pointer // the *Array[T] pg belongs to; nil = none
+	pg    unsafe.Pointer // *hostPage[T], an installed page of arr
+	pgKey int            // pg's page index
 }
 
 // LoadArm reads element i like Load, additionally consulting and maintaining
@@ -151,22 +175,34 @@ type Arm struct {
 func (cu *Cursor[T]) LoadArm(arm *Arm, i int) T {
 	a := cu.a
 	gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
-	lr := &a.last[cu.me]
+	lr := cu.lr
 	if lr.line == gl+1 && lr.gen == cu.c.gen {
 		cu.hits++
 		cu.lat += a.cacheHitNS
-		return a.data[i]
-	}
-	if arm.line == gl+1 && arm.gen == cu.c.gen && !refModel {
+	} else if arm.line == gl+1 && arm.gen == cu.c.gen && !refModel {
 		cu.hits++
 		cu.lat += a.cacheHitNS
-		a.last[cu.me] = lastRef{gl + 1, cu.c.gen}
-		return a.data[i]
+		*cu.lr = lastRef{gl + 1, cu.c.gen}
+	} else {
+		v := cu.loadSlow(i, gl)
+		arm.line = gl + 1
+		arm.gen = cu.c.gen
+		cu.armTake(arm, i)
+		return v
 	}
-	v := cu.loadSlow(i, gl)
-	arm.line = gl + 1
-	arm.gen = cu.c.gen
+	if arm.arr == unsafe.Pointer(a) && arm.pgKey == i>>pageLog && uint(i) < uint(a.n) {
+		return (*hostPage[T])(arm.pg)[i&pageMask]
+	}
+	v := cu.pc.get(a, i)
+	cu.armTake(arm, i)
 	return v
+}
+
+// armTake hands arm the cursor's cached page for element i, if it has one.
+func (cu *Cursor[T]) armTake(arm *Arm, i int) {
+	if e := cu.pc.entry(i); e.key == i>>pageLog+1 {
+		arm.arr, arm.pg, arm.pgKey = unsafe.Pointer(cu.a), unsafe.Pointer(e.pg), i>>pageLog
+	}
 }
 
 // LoadMiss completes an access whose TryLoad returned false. TryLoad+LoadMiss
@@ -174,24 +210,28 @@ func (cu *Cursor[T]) LoadArm(arm *Arm, i int) T {
 // a failed probe changes no state, so the re-probe inside charges the same).
 func (cu *Cursor[T]) LoadMiss(i int) T {
 	a := cu.a
-	return cu.loadSlow(i, a.baseLine+uint64(uint64(i)*a.elemSize>>a.lineShift))
+	v := cu.loadSlow(i, a.baseLine+uint64(uint64(i)*a.elemSize>>a.lineShift))
+	if e := cu.pc.entry(i); e.key == i>>pageLog+1 && i|pageMask < a.n {
+		cu.walk = *e // a full page: TryLoad checks no bounds
+	}
+	return v
 }
 
 func (cu *Cursor[T]) loadSlow(i int, gl uint64) T {
 	a := cu.a
 	if refModel {
 		a.chargeRef(cu.p, a.lineOf(i), false)
-		return a.data[i]
-	}
-	base := cu.c.setBase(gl)
-	if cu.c.mruHit(base, gl) {
+	} else if base := cu.c.setBase(gl); cu.c.mruHit(base, gl) {
 		cu.hits++
 		cu.lat += a.cacheHitNS
-		a.last[cu.me] = lastRef{gl + 1, cu.c.gen}
+		*cu.lr = lastRef{gl + 1, cu.c.gen}
 	} else {
 		cu.lat += a.chargeSlowAcc(cu.p, cu.c, base, gl, a.lineOf(i), false)
 	}
-	return a.data[i]
+	if q := cu.pc.hit(a, i); q != nil {
+		return *q
+	}
+	return cu.pc.get(a, i)
 }
 
 // Store writes element i through the cursor; identical charging to
@@ -200,11 +240,15 @@ func (cu *Cursor[T]) Store(i int, v T) {
 	a := cu.a
 	if !a.shared {
 		gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
-		lr := &a.last[cu.me]
+		lr := cu.lr
 		if lr.line == gl+1 && lr.gen == cu.c.gen {
 			cu.hits++
 			cu.lat += a.cacheHitNS
-			a.data[i] = v
+			if q := cu.pc.hit(a, i); q != nil {
+				*q = v
+			} else {
+				*cu.pc.ref(a, i) = v
+			}
 			return
 		}
 	}
@@ -215,7 +259,7 @@ func (cu *Cursor[T]) storeSlow(i int, v T) {
 	a := cu.a
 	if refModel {
 		a.chargeRef(cu.p, a.lineOf(i), true)
-		a.data[i] = v
+		*cu.pc.ref(a, i) = v
 		return
 	}
 	gl := a.baseLine + uint64(uint64(i)*a.elemSize>>a.lineShift)
@@ -223,11 +267,15 @@ func (cu *Cursor[T]) storeSlow(i int, v T) {
 	if !a.shared && cu.c.mruHit(base, gl) {
 		cu.hits++
 		cu.lat += a.cacheHitNS
-		a.last[cu.me] = lastRef{gl + 1, cu.c.gen}
+		*cu.lr = lastRef{gl + 1, cu.c.gen}
 	} else {
 		cu.lat += a.chargeSlowAcc(cu.p, cu.c, base, gl, a.lineOf(i), true)
 	}
-	a.data[i] = v
+	if q := cu.pc.hit(a, i); q != nil {
+		*q = v
+		return
+	}
+	*cu.pc.ref(a, i) = v
 }
 
 // Flush charges the accumulated hit count and latency to the processor. Call

@@ -294,7 +294,7 @@ func TestTouchRangeAndFill(t *testing.T) {
 	}
 	a.Fill(p, 0, 64, 9)
 	for i := 0; i < 64; i++ {
-		if a.Data()[i] != 9 {
+		if a.Peek(i) != 9 {
 			t.Fatal("Fill did not write data")
 		}
 	}
@@ -314,15 +314,6 @@ func TestLineRange(t *testing.T) {
 	}
 	if lo2, hi2 := a.LineRange(5, 5); lo2 != 0 || hi2 != 0 {
 		t.Fatal("empty range should be (0,0)")
-	}
-}
-
-func TestAllocAccounting(t *testing.T) {
-	sp, _ := space(2)
-	before := sp.AllocBytes()
-	NewPrivate[float64](sp, 0, 1000)
-	if sp.AllocBytes()-before != 8000 {
-		t.Fatalf("alloc accounting: %d", sp.AllocBytes()-before)
 	}
 }
 

@@ -20,12 +20,11 @@ type Space struct {
 	mu     sync.Mutex
 	shared []epochTracker // shared arrays with live write-sets
 
-	// pool holds released host backing slices for reuse, bucketed by element
-	// size (the stored values are typed slices; takePool type-asserts). Only
-	// the host allocation is recycled: simulated addresses always come fresh
-	// from reserve, and a reused slice is re-zeroed, so the model cannot
-	// observe the difference. See Release.
-	pool map[uint64][]any
+	// pools holds the free lists of released host pages, one *pagePool[T]
+	// per element type (see poolOf). Only host memory is recycled: simulated
+	// addresses always come fresh from reserve, and a reused page is
+	// re-zeroed, so the model cannot observe the difference. See Release.
+	pools map[any]any
 
 	// Scratch for MergeEpoch, reused across barrier episodes. Safe because
 	// MergeEpoch only runs from a barrier rendezvous hook while every
@@ -39,8 +38,6 @@ type Space struct {
 	// reused against every target cache.
 	mergeGls  []uint64
 	mergeSigs []uint64
-
-	allocBytes atomic.Uint64
 }
 
 // epochTracker is the slice of Array behaviour the coherence merge needs.
@@ -66,7 +63,7 @@ func NewSpace(m *machine.Machine) *Space {
 // The total address range is bounded so that every global line index fits a
 // 32-bit cache tag (see cache.go): with 128-byte lines that is half a
 // terabyte of simulated memory, far beyond any workload here — the backing
-// Go slices would exhaust host memory long before this panics.
+// host pages would exhaust host memory long before this panics.
 func (s *Space) reserve(n int) uint64 {
 	pb := uint64(s.M.Cfg.PageBytes)
 	sz := (uint64(n) + pb - 1) / pb * pb
@@ -96,44 +93,6 @@ func (s *Space) unregisterShared(t epochTracker) {
 	}
 	s.mu.Unlock()
 }
-
-// putPool returns a released backing slice (stored as a typed slice in an
-// any) to the element-size bucket. Caller must not retain the slice.
-func (s *Space) putPool(elemSize uint64, slice any) {
-	s.mu.Lock()
-	if s.pool == nil {
-		s.pool = make(map[uint64][]any)
-	}
-	s.pool[elemSize] = append(s.pool[elemSize], slice)
-	s.mu.Unlock()
-}
-
-// takePool finds a pooled slice of element type T with capacity >= n, removes
-// it from the bucket, and returns it resliced to n and zeroed — semantically
-// a fresh make([]T, n). Returns nil when nothing fits.
-func takePool[T any](s *Space, elemSize uint64, n int) []T {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bucket := s.pool[elemSize]
-	for i := len(bucket) - 1; i >= 0; i-- {
-		sl, ok := bucket[i].([]T)
-		if !ok || cap(sl) < n {
-			continue
-		}
-		bucket[i] = bucket[len(bucket)-1]
-		bucket[len(bucket)-1] = nil
-		s.pool[elemSize] = bucket[:len(bucket)-1]
-		sl = sl[:n]
-		clear(sl)
-		return sl
-	}
-	return nil
-}
-
-func (s *Space) addAlloc(n int) { s.allocBytes.Add(uint64(n)) }
-
-// AllocBytes reports total model-visible memory allocated in this space.
-func (s *Space) AllocBytes() uint64 { return s.allocBytes.Load() }
 
 // MergeEpoch resolves coherence for all shared arrays: every line written by
 // some processor since the previous merge is invalidated in all other caches.

@@ -38,6 +38,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -474,8 +475,12 @@ func (e *Engine) attempt(ctx context.Context, label string, compute func(ctx con
 				ch <- outcome{err: &PanicError{Cell: label, Reason: r, Stack: debug.Stack()}}
 			}
 		}()
-		v, err := compute(ctx)
-		ch <- outcome{val: v, err: err}
+		// The cell label rides along as a profiler label, so a CPU profile
+		// splits by cell with `go tool pprof -tagfocus cell=<label>`.
+		pprof.Do(ctx, pprof.Labels("cell", label), func(ctx context.Context) {
+			v, err := compute(ctx)
+			ch <- outcome{val: v, err: err}
+		})
 	}()
 
 	select {

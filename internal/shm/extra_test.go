@@ -107,7 +107,7 @@ func TestFetchAddSerializesVirtualTime(t *testing.T) {
 			FetchAdd(pe, s, 0, 0, 1)
 		}
 	})
-	if v := s.LocalOf(0).Data()[0]; v != 40 {
+	if v := s.LocalOf(0).Peek(0); v != 40 {
 		t.Fatalf("atomic counter = %d, want 40", v)
 	}
 }

@@ -253,7 +253,7 @@ func Put[T any](pe *PE, s *Sym[T], target, off int, src []T) {
 	pe.P.MsgsSent++
 
 	dst := s.parts[target]
-	copy(dst.Data()[off:off+len(src)], src)
+	dst.PokeRange(off, src)
 	if target != pe.ID() {
 		lo, hi := dst.LineRange(off, off+len(src))
 		w.logPut(target, lo, hi)
@@ -284,9 +284,8 @@ func PutIdx[T any](pe *PE, s *Sym[T], target int, idx []int32, vals []T) {
 	pe.P.MsgsSent++
 
 	dst := s.parts[target]
-	data := dst.Data()
 	for i, ix := range idx {
-		data[ix] = vals[i]
+		dst.Poke(int(ix), vals[i])
 	}
 	if target != pe.ID() {
 		w.mu.Lock()
@@ -317,7 +316,8 @@ func Get[T any](pe *PE, s *Sym[T], target, off, n int) []T {
 	pe.P.Advance(cost)
 	pe.P.BytesSent += uint64(bytes)
 	pe.P.MsgsSent++
-	copy(out, s.parts[target].Data()[off:off+n])
+	src := s.parts[target]
+	src.PeekRange(out, off)
 	return out
 }
 
@@ -336,9 +336,9 @@ func FetchAdd(pe *PE, s *Sym[int64], target, off int, delta int64) int64 {
 	pe.P.Advance(w.M.Cfg.ShmAtomicNS + w.M.Wire(8, w.M.Hops(pe.ID(), target)))
 	pe.P.MsgsSent++
 	w.atomMu.Lock()
-	d := s.parts[target].Data()
-	old := d[off]
-	d[off] = old + delta
+	d := s.parts[target]
+	old := d.Peek(off)
+	d.Poke(off, old+delta)
 	w.atomMu.Unlock()
 	return old
 }

@@ -154,7 +154,7 @@ func TestFetchAdd(t *testing.T) {
 		pe.Barrier()
 		FetchAdd(pe, s, 0, 0, int64(pe.ID()+1)) // 1+2+3+4
 		pe.Barrier()
-		if v := s.LocalOf(0).Data()[0]; v != 10 {
+		if v := s.LocalOf(0).Peek(0); v != 10 {
 			t.Errorf("counter = %d, want 10", v)
 		}
 	})
